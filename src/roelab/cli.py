@@ -108,7 +108,6 @@ CONFIG_SCHEMA = {
         },
         "audit": {"type": "boolean"},
         "seed": {"type": "integer"},
-        "workers": {"type": "integer", "minimum": 1},
         "parameters": {
             "type": "object",
             "properties": {
@@ -535,8 +534,9 @@ def _cmd_norm(args):
 
 def _cmd_truncate(args):
     T = BandOperator.deserialize(args.operator)
-    T.truncate(args.eps).serialize(args.out)
-    print(f"kept {T.truncate(args.eps).nnz} of {T.nnz} entries")
+    kept = T.truncate(args.eps)
+    kept.serialize(args.out)
+    print(f"kept {kept.nnz} of {T.nnz} entries")
     return 0
 
 

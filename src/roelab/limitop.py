@@ -58,18 +58,6 @@ class DirectionSequence:
         return [space.distance(a, b)
                 for a, b in zip(self.points, self.points[1:])]
 
-    def min_gap_beyond(self, space, start):
-        """Smallest pairwise distance among terms with index sum >= start."""
-        pts = self.points
-        best = None
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if i + j < start:
-                    continue
-                d = space.distance(pts[i], pts[j])
-                best = d if best is None else min(best, d)
-        return best
-
     def has_spreading_certificate(self, space):
         """Successive gaps non-decreasing: the finite form of pairwise
         distances growing with the index sum."""

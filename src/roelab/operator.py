@@ -1,6 +1,7 @@
 """Band operators at finite scale: sparse *-algebra with tracked propagation,
-threshold supports and truncations, ghost profiles, and spectral-norm
-estimation by power iteration."""
+threshold supports and truncations, ghost profiles, and spectral norms
+(structure-aware dense solves, power iteration above a cutoff), cached per
+operator."""
 
 from __future__ import annotations
 
@@ -30,10 +31,11 @@ class BandOperator:
 
     Entries are stored deduplicated in coordinate form with moduli below
     1e-14 pruned, so supp(T) stays meaningful under float arithmetic.
-    Immutable; all operations return new operators.
+    Immutable, with read-only entry arrays; all operations return new
+    operators.  `operator_norm` caches its results in `_norms`.
     """
 
-    __slots__ = ("space", "rows", "cols", "vals", "propagation")
+    __slots__ = ("space", "rows", "cols", "vals", "propagation", "_norms")
 
     def __init__(self, space, rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
@@ -54,6 +56,8 @@ class BandOperator:
                 vals = merged
                 keep = np.abs(vals) >= PRUNE_THRESHOLD
                 rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        for arr in (rows, cols, vals):
+            arr.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -66,6 +70,7 @@ class BandOperator:
             if prop.is_integer():
                 prop = int(prop)
         object.__setattr__(self, "propagation", prop)
+        object.__setattr__(self, "_norms", {})
 
     def __setattr__(self, *a):
         raise AttributeError("BandOperator is immutable")
@@ -266,19 +271,25 @@ def schur_norm_bound(T):
 
 
 def dense_norm(T):
-    """Exact spectral norm of the active block via LAPACK."""
+    """Exact spectral norm of the active block via LAPACK.
+
+    Real arithmetic when every entry is real, and the largest eigenvalue
+    modulus when the block is Hermitian; a full SVD only otherwise."""
     if T.is_zero():
         return 0.0
     active = np.union1d(T.rows, T.cols)
     lut = np.zeros(int(active.max()) + 1, dtype=np.int64)
     lut[active] = np.arange(active.size)
-    dense = np.zeros((active.size, active.size), dtype=np.complex128)
-    dense[lut[T.rows], lut[T.cols]] = T.vals
+    vals = T.vals.real if not T.vals.imag.any() else T.vals
+    dense = np.zeros((active.size, active.size), dtype=vals.dtype)
+    dense[lut[T.rows], lut[T.cols]] = vals
+    if np.array_equal(dense, dense.conj().T):
+        return float(np.abs(np.linalg.eigvalsh(dense)).max())
     return float(np.linalg.norm(dense, 2))
 
 
 def power_iteration_norm(T, tol=1e-9, max_iter=None):
-    """Power iteration on T*T from the deterministic all-ones start vector.
+    """Power iteration on T*T from a seeded random start vector.
 
     Stops when the projected remaining error of the singular-value estimate
     (Aitken extrapolation of the delta sequence) drops below relative
@@ -291,17 +302,15 @@ def power_iteration_norm(T, tol=1e-9, max_iter=None):
     n = T.space.n
     if max_iter is None:
         max_iter = 10 * n
-    v = np.ones(n) / np.sqrt(n)
+    # a random start has a nonzero component along the top singular vector
+    # almost surely; all-ones, for one, is orthogonal to e_0 - e_1
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
     sigma = 0.0
     delta_prev = None
     for _ in range(max_iter):
         w = mat @ v
         sigma_new = float(np.linalg.norm(w))
-        if sigma_new == 0.0:
-            # all-ones sits in the kernel; restart from a basis vector
-            v = np.zeros(n)
-            v[int(T.cols[0])] = 1.0
-            continue
         delta = abs(sigma_new - sigma)
         if delta <= tol * max(sigma_new, 1e-30):
             # linear convergence: bound the tail by delta * r / (1 - r)
@@ -320,10 +329,14 @@ def power_iteration_norm(T, tol=1e-9, max_iter=None):
 
 def operator_norm(T, tol=1e-9, max_iter=None):
     """Spectral norm: exact dense solve for small active blocks, power
-    iteration above the cutoff."""
+    iteration above the cutoff.  Cached on T per (tol, max_iter)."""
     if T.is_zero():
         return 0.0
-    active = np.union1d(T.rows, T.cols)
-    if active.size <= DENSE_NORM_CUTOFF:
-        return dense_norm(T)
-    return power_iteration_norm(T, tol=tol, max_iter=max_iter)
+    key = (tol, max_iter)
+    if key not in T._norms:
+        if np.union1d(T.rows, T.cols).size <= DENSE_NORM_CUTOFF:
+            T._norms[key] = dense_norm(T)
+        else:
+            T._norms[key] = power_iteration_norm(T, tol=tol,
+                                                 max_iter=max_iter)
+    return T._norms[key]

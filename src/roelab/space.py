@@ -35,14 +35,6 @@ class PartialTranslation:
     mapping: tuple  # tuple of (domain point, image point)
     displacement_bound: float
 
-    @property
-    def domain(self):
-        return frozenset(x for x, _ in self.mapping)
-
-    @property
-    def image(self):
-        return frozenset(y for _, y in self.mapping)
-
     def pairs(self):
         """Pair set {(t(x), x)} contributed to the entourage."""
         return frozenset((y, x) for x, y in self.mapping)

@@ -13,6 +13,17 @@ from .space import GridSpace
 L1_NORMALIZATION_TOL = 1e-12
 PSD_EIGENVALUE_TOL = -1e-9
 PSD_SUBSET_LIMIT = 2000
+# windows are gathered densely from an n x n matrix up to this many points,
+# and from the sorted coordinate entries above it
+DENSE_WINDOW_CUTOFF = 2000
+# entries per stack of window blocks (or of grid window stencils); bounds
+# the working memory of a sweep independently of the window count
+WINDOW_BATCH_ELEMENTS = 2 ** 15
+# window norms within this relative distance of the largest one tie, and
+# ties go to the lowest center: windows with equal exact norms (translates,
+# clamped repeats, graph automorphisms) differ by a few ulps, and which of
+# them comes out largest depends on the arithmetic path
+WINDOW_TIE_RTOL = 1e-12
 
 
 class WitnessError(ValueError):
@@ -138,40 +149,90 @@ def check_positive_type(kernel, subsets):
     return True
 
 
+def _grid_coords(space):
+    """n x dims array of grid coordinates, most significant first, matching
+    `GridSpace.coords`."""
+    shape = (space.side,) * space.dims
+    return np.stack(np.unravel_index(np.arange(space.n), shape), axis=1)
+
+
 def default_margin(space, S):
     """Grid boundary points within S of an edge; finite windows of a grid
     under-report interior norms near edges."""
     if not isinstance(space, GridSpace):
         return frozenset()
-    out = set()
-    for x in space.points:
-        c = space.coords(x)
-        if any(v < S or v >= space.side - S for v in c):
-            out.add(x)
-    return frozenset(out)
+    coords = _grid_coords(space)
+    near = ((coords < S) | (coords >= space.side - S)).any(axis=1)
+    return frozenset(np.flatnonzero(near).tolist())
 
 
 def candidate_windows(space, S, margin):
     """(center, window) candidates of diameter <= S, one per allowed center.
 
     One-dimensional grids use runs of S + 1 consecutive points (the maximal
-    diameter-S sets there); other spaces use balls of radius S / 2."""
+    diameter-S sets there); other spaces use balls of radius S / 2, which
+    on grids come from one offset stencil over the coordinate array."""
     S = int(S)
-    windows = []
+    centers = [c for c in space.points if c not in margin]
     if isinstance(space, GridSpace) and space.dims == 1:
         n = space.n
-        for c in space.points:
-            if c in margin:
-                continue
+        windows = []
+        for c in centers:
             lo = max(0, min(c - (S + 1) // 2, n - 1 - S))
             hi = min(n - 1, lo + S)
             windows.append((c, tuple(range(lo, hi + 1))))
-    else:
-        for c in space.points:
-            if c in margin:
-                continue
-            windows.append((c, tuple(space.ball(c, S / 2.0))))
+        return windows
+    if not isinstance(space, GridSpace):
+        return [(c, tuple(space.ball(c, S / 2.0))) for c in centers]
+    offsets = np.array(space._offsets(S // 2),
+                       dtype=np.int64).reshape(-1, space.dims)
+    place = space.side ** np.arange(space.dims - 1, -1, -1)
+    coords = _grid_coords(space)
+    windows = []
+    step = max(1, WINDOW_BATCH_ELEMENTS // max(len(offsets), 1))
+    for lo in range(0, len(centers), step):
+        chunk = centers[lo:lo + step]
+        pts = coords[chunk][:, None, :] + offsets[None, :, :]
+        inside = ((pts >= 0) & (pts < space.side)).all(axis=2)
+        # outside points get id n, which sorts after every real point
+        ids = np.where(inside, pts @ place, space.n)
+        ids.sort(axis=1)
+        for c, row, size in zip(chunk, ids.tolist(),
+                                inside.sum(axis=1).tolist()):
+            windows.append((c, tuple(row[:size])))
     return windows
+
+
+def _block_gatherer(T, mode):
+    """Function from an index stack W (m x k) to the stack of k x k blocks
+    that `mode` evaluates: T on W x W, or (T*T) on W x W in column mode.
+    Real when T is."""
+    n = T.space.n
+    if n <= DENSE_WINDOW_CUTOFF:
+        dense = T.to_dense()
+        if not dense.imag.any():
+            dense = np.ascontiguousarray(dense.real)
+        if mode == "column":
+            dense = dense.conj().T @ dense
+        return lambda idx: dense[idx[:, :, None], idx[:, None, :]]
+    op = T if mode == "two_sided" else T.adjoint() @ T
+    keys = op.rows * n + op.cols  # sorted: BandOperator orders by this key
+    vals = op.vals.real if not op.vals.imag.any() else op.vals
+
+    def gather(idx):
+        want = idx[:, :, None] * n + idx[:, None, :]
+        pos = np.searchsorted(keys, want)
+        hit = keys.take(pos, mode="clip") == want
+        return np.where(hit, vals.take(pos, mode="clip"), 0)
+    return gather
+
+
+def _window_norms(blocks, mode):
+    """Largest singular value of each block of a stack; in column mode the
+    blocks are Gram blocks and the norm is the root of the top eigenvalue."""
+    if mode == "two_sided":
+        return np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(blocks)[:, -1], 0.0))
 
 
 def localization_constant(T, S, margin=None, mode="two_sided", tol=1e-9):
@@ -179,12 +240,19 @@ def localization_constant(T, S, margin=None, mode="two_sided", tol=1e-9):
 
     mode "two_sided" measures the corner norm ||chi_W T chi_W||; mode
     "column" measures ||T chi_W||, the best norm achievable on unit vectors
-    supported in the window.  Ties break toward the lowest center id.
+    supported in the window.  Ties (norms within WINDOW_TIE_RTOL of the
+    largest) break toward the lowest center id.
+
+    Windows of equal size are evaluated together, in stacks of at most
+    WINDOW_BATCH_ELEMENTS entries; only the winning window's singular
+    vector is computed.
     """
     if T.is_zero():
         raise WitnessError("localization of the zero operator is undefined")
     if S < 0:
         raise WitnessError("window diameter must be non-negative")
+    if mode not in ("two_sided", "column"):
+        raise WitnessError(f"unknown localization mode {mode!r}")
     space = T.space
     if margin is None:
         margin = default_margin(space, S)
@@ -192,31 +260,27 @@ def localization_constant(T, S, margin=None, mode="two_sided", tol=1e-9):
     if not windows:
         raise WitnessError("no candidate windows left after margin exclusion")
 
-    dense = T.to_dense() if space.n <= 2000 else None
-    if mode == "column":
-        gram_op = T.adjoint() @ T
-        gram = gram_op.to_dense() if space.n <= 2000 else gram_op.to_csr()
-    elif mode != "two_sided":
-        raise WitnessError(f"unknown localization mode {mode!r}")
-
-    best_norm, best_center, best_window, best_vec = -1.0, None, None, None
-    for center, window in windows:
-        w = np.asarray(window)
-        if mode == "two_sided":
-            if dense is not None:
-                block = dense[np.ix_(w, w)]
-            else:
-                block = T.to_csr()[np.ix_(w, w)].toarray()
-            u, s, vh = np.linalg.svd(block)
-            norm, vec = float(s[0]), np.conj(vh[0])
-        else:
-            sub = (gram[np.ix_(w, w)] if isinstance(gram, np.ndarray)
-                   else gram[np.ix_(w, w)].toarray())
-            evals, evecs = np.linalg.eigh(sub)
-            norm, vec = float(np.sqrt(max(evals[-1], 0.0))), evecs[:, -1]
-        if norm > best_norm:
-            best_norm, best_center, best_window = norm, center, window
-            best_vec = vec
+    gather = _block_gatherer(T, mode)
+    by_size = {}
+    for i, (_, window) in enumerate(windows):
+        by_size.setdefault(len(window), []).append(i)
+    norms = np.empty(len(windows))
+    for size, members in by_size.items():
+        members = np.asarray(members)
+        idx = np.array([windows[i][1] for i in members], dtype=np.int64)
+        step = max(1, WINDOW_BATCH_ELEMENTS // (size * size))
+        for lo in range(0, len(members), step):
+            norms[members[lo:lo + step]] = _window_norms(
+                gather(idx[lo:lo + step]), mode)
+    # the first window, in center order, that ties with the largest norm
+    best = int(np.argmax(norms >= norms.max() * (1.0 - WINDOW_TIE_RTOL)))
+    best_center, best_window = windows[best]
+    block = gather(np.asarray([best_window], dtype=np.int64))[0]
+    if mode == "two_sided":
+        best_vec = np.conj(np.linalg.svd(block)[2][0])
+    else:
+        best_vec = np.linalg.eigh(block)[1][:, -1]
+    best_norm = float(norms[best])
     op_norm = operator_norm(T, tol)
     witness_vector = {int(p): complex(v)
                       for p, v in zip(best_window, best_vec)

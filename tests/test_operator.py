@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import roelab.operator as opr
 from roelab import (
     BandOperator,
     OperatorError,
@@ -129,6 +130,16 @@ class TestNorm:
             assert power_iteration_norm(T, tol=1e-10) == \
                 pytest.approx(dense_norm(T), rel=1e-8)
 
+    def test_power_iteration_start_not_orthogonal_to_top_vector(self):
+        # T = I + (e0 - e1)(e0 - e1)^T has norm 3 along e0 - e1, which is
+        # orthogonal to the all-ones vector; 1000 points take the power
+        # iteration path
+        sp = build_grid_space(1, 1000, "graph")
+        T = BandOperator.identity(sp) + small_op(
+            sp, {(0, 0): 1.0, (1, 1): 1.0, (0, 1): -1.0, (1, 0): -1.0})
+        assert np.union1d(T.rows, T.cols).size > opr.DENSE_NORM_CUTOFF
+        assert operator_norm(T) == pytest.approx(3.0, abs=1e-9)
+
     def test_sup_entry_below_norm(self, window100):
         for seed in range(5):
             T = random_band_operator(window100, 2, 0.5, seed=seed)
@@ -141,6 +152,49 @@ class TestNorm:
     def test_zero(self, window100):
         Z = BandOperator(window100, [], [], [])
         assert operator_norm(Z) == 0.0
+
+
+class TestNormPaths:
+    """dense_norm picks real, Hermitian or general arithmetic from the
+    entries; operator_norm caches per operator."""
+
+    @pytest.fixture
+    def base(self, window100):
+        # complex, non-Hermitian, propagation 2
+        return random_band_operator(window100, 2, 0.5, seed=11)
+
+    def structures(self, base):
+        real = BandOperator(base.space, base.rows, base.cols, base.vals.real)
+        return {
+            "real symmetric": real + real.adjoint(),
+            "complex Hermitian": base + base.adjoint(),
+            "real non-symmetric": real,
+            "complex general": base,
+        }
+
+    def test_dense_norm_matches_numpy(self, base):
+        for name, T in self.structures(base).items():
+            assert dense_norm(T) == pytest.approx(
+                np.linalg.norm(T.to_dense(), 2), rel=1e-12), name
+
+    def test_second_call_returns_cached_value(self, base, monkeypatch):
+        first = operator_norm(base)
+
+        def recompute(T):
+            raise AssertionError("norm recomputed")
+        monkeypatch.setattr(opr, "dense_norm", recompute)
+        assert operator_norm(base) == first
+
+    def test_scaled_operator_gets_its_own_norm(self, base):
+        norm = operator_norm(base)
+        assert operator_norm(base.scale(2.0)) == pytest.approx(2 * norm,
+                                                               rel=1e-12)
+        assert operator_norm(base) == norm
+
+    def test_entries_are_read_only(self, base):
+        for arr in (base.rows, base.cols, base.vals):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestAlgebra:

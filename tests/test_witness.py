@@ -15,8 +15,20 @@ from roelab import (
     localization_constant,
     resistance_check,
 )
-from roelab.expander import constant_projection, random_regular_expander
-from roelab.witness import candidate_windows, default_margin, l1_difference
+import roelab.witness as witness
+from roelab.cli import random_band_operator
+from roelab.expander import (
+    chebyshev_band_approx,
+    constant_projection,
+    random_regular_expander,
+)
+from roelab.operator import operator_norm
+from roelab.witness import (
+    WINDOW_TIE_RTOL,
+    candidate_windows,
+    default_margin,
+    l1_difference,
+)
 
 
 @pytest.fixture
@@ -179,6 +191,134 @@ class TestLocalization:
         Z = BandOperator(window, [], [], [])
         with pytest.raises(WitnessError):
             localization_constant(Z, 3)
+
+
+def brute_force_localization(T, S, margin, mode):
+    """The per-window reference: one full SVD (or eigh of the Gram block)
+    per candidate window, in center order, then the first window that ties
+    with the largest norm."""
+    dense = T.to_dense()
+    gram = (T.adjoint() @ T).to_dense()
+    windows = [(c, w) for c, w in candidate_windows(T.space, S, margin) if w]
+    norms = []
+    for _, window in windows:
+        w = np.asarray(window)
+        if mode == "two_sided":
+            norms.append(float(np.linalg.svd(dense[np.ix_(w, w)])[1][0]))
+        else:
+            evals = np.linalg.eigh(gram[np.ix_(w, w)])[0]
+            norms.append(float(np.sqrt(max(evals[-1], 0.0))))
+    top = max(norms)
+    best = next(i for i, v in enumerate(norms)
+                if v >= top * (1 - WINDOW_TIE_RTOL))
+    center, window = windows[best]
+    return center, window, top / operator_norm(T)
+
+
+def assert_matches_brute_force(T, S, margin=None, mode="two_sided"):
+    if margin is None:
+        margin = default_margin(T.space, S)
+    rep = localization_constant(T, S, margin=margin, mode=mode)
+    center, window, constant = brute_force_localization(T, S, margin, mode)
+    assert rep.witness_center == center
+    assert rep.witness_window == window
+    assert rep.best_constant == pytest.approx(constant, abs=1e-12)
+    # the witness vector lives in the window and attains the window norm
+    pos = {p: i for i, p in enumerate(window)}
+    v = np.zeros(len(window), dtype=complex)
+    for p, value in rep.witness_vector.items():
+        v[pos[p]] = value
+    w = np.asarray(window)
+    image = (T.to_dense()[np.ix_(w, w)] @ v if mode == "two_sided"
+             else T.to_dense()[:, w] @ v)
+    assert np.linalg.norm(image) == pytest.approx(
+        rep.window_norm * np.linalg.norm(v), rel=1e-9)
+
+
+class TestWindowEngine:
+    """The batched engine against the per-window loop it replaced."""
+
+    def test_path_without_margin_repeats_clamped_windows(self):
+        sp = build_grid_space(1, 60, "graph")
+        A = BandOperator.adjacency(sp, normalize=True)
+        R = random_band_operator(sp, 3, 0.6, seed=4)
+        for S in (1, 3, 8, 59, 70):
+            windows = [w for _, w in candidate_windows(sp, S, frozenset())]
+            assert len(set(windows)) < len(windows)
+            for T in (A, R):
+                assert_matches_brute_force(T, S, margin=frozenset())
+
+    @pytest.mark.parametrize("metric", ["sup", "graph", "euclidean-rounded"])
+    def test_grids_with_mixed_window_sizes(self, metric):
+        sp = build_grid_space(2, 13, metric)
+        A = BandOperator.adjacency(sp, normalize=True)
+        R = random_band_operator(sp, 2, 0.5, seed=3)
+        for S in (2, 3, 5):
+            sizes = {len(w) for _, w in candidate_windows(sp, S, frozenset())}
+            assert len(sizes) > 1
+            for T in (A, R):
+                for margin in (None, frozenset()):
+                    assert_matches_brute_force(T, S, margin=margin)
+                    assert_matches_brute_force(T, S, margin=margin,
+                                               mode="column")
+
+    def test_complex_non_hermitian_random_operator(self):
+        sp = build_grid_space(2, 12, "sup")
+        T = random_band_operator(sp, 2, 0.5, seed=8)
+        assert T.vals.imag.any()
+        assert not np.allclose(T.to_dense(), T.to_dense().conj().T)
+        for S in (2, 3, 5):
+            assert_matches_brute_force(T, S)
+            assert_matches_brute_force(T, S, mode="column")
+
+    def test_expander_block_column_mode(self):
+        g = random_regular_expander(60, 3, 2.9, seed=2)
+        sp = build_graph_space(g.edges)
+        cheb, _ = chebyshev_band_approx(g, g.second_eigenvalue, 3)
+        R = random_band_operator(sp, 2, 0.5, seed=5)
+        for S in (2, 3, 4):
+            for T in (cheb, R):
+                assert_matches_brute_force(T, S, margin=frozenset(),
+                                           mode="column")
+                assert_matches_brute_force(T, S, margin=frozenset())
+
+    def test_sparse_gather_matches_dense(self, monkeypatch):
+        # above DENSE_WINDOW_CUTOFF points blocks come from the sorted
+        # coordinate entries instead of a dense matrix
+        sp = build_grid_space(2, 12, "sup")
+        ops = (BandOperator.adjacency(sp, normalize=True),
+               random_band_operator(sp, 2, 0.5, seed=6))
+        dense = [localization_constant(T, S, mode=mode)
+                 for T in ops for S in (2, 4) for mode in ("two_sided",
+                                                           "column")]
+        monkeypatch.setattr(witness, "DENSE_WINDOW_CUTOFF", 0)
+        sparse = [localization_constant(T, S, mode=mode)
+                  for T in ops for S in (2, 4) for mode in ("two_sided",
+                                                            "column")]
+        for a, b in zip(dense, sparse):
+            assert (a.witness_center, a.witness_window) == \
+                (b.witness_center, b.witness_window)
+            assert a.best_constant == pytest.approx(b.best_constant,
+                                                    abs=1e-12)
+
+    @pytest.mark.parametrize("metric", ["sup", "graph", "euclidean-rounded"])
+    def test_grid_windows_are_balls(self, metric):
+        for dims, side in ((2, 11), (3, 5)):
+            sp = build_grid_space(dims, side, metric)
+            for S in (0, 1, 2, 5, 6):
+                for margin in (default_margin(sp, S), frozenset()):
+                    windows = candidate_windows(sp, S, margin)
+                    assert [c for c, _ in windows] == \
+                        [c for c in sp.points if c not in margin]
+                    for c, window in windows:
+                        assert window == tuple(sp.ball(c, S / 2))
+
+    def test_default_margin_matches_coordinates(self):
+        sp = build_grid_space(2, 9, "graph")
+        for S in (0, 1, 3, 5):
+            expect = {x for x in sp.points
+                      if any(v < S or v >= sp.side - S for v in sp.coords(x))}
+            assert default_margin(sp, S) == expect
 
 
 class TestResistanceCheck:
