@@ -224,11 +224,23 @@ def _parse_sequences(specs, limit):
 
 # -- experiment implementations ----------------------------------------------
 
+def _largest_sweep_S(space, upper):
+    """Largest S <= upper for which the default margin leaves a window
+    centre; S = 0 always does."""
+    return next(S for S in range(upper, -1, -1)
+                if len(wt.default_margin(space, S)) < space.n)
+
+
 def _exp_localization_sweep(cfg):
     space = space_from_descriptor(cfg["space"])
     T = _build_operator(space, cfg["operator"], cfg.get("seed", 0))
     params = cfg.get("parameters", {})
-    lo_s, hi_s = params.get("S_range", [2, 50])
+    lo_s, hi_s = params.get("S_range", [2, _largest_sweep_S(space, 50)])
+    usable = _largest_sweep_S(space, hi_s)
+    if usable < hi_s:
+        raise ConfigError(
+            f"S_range ends at {hi_s}, but the default margin leaves no "
+            f"window centre beyond S = {usable}")
     mode = params.get("mode", "two_sided")
     rows = []
     for S in range(lo_s, hi_s + 1):
@@ -271,7 +283,8 @@ def _exp_ideal_membership(cfg):
     family = il.IdealFamily(space, tuple(frozenset(g) for g in gens),
                             max_union=params.get("max_union"))
     k_cap = params.get("k_cap", il.default_k_cap(space))
-    body = {"k_cap": k_cap, "max_union": family.max_union}
+    body = {"k_cap": k_cap, "max_union": family.max_union,
+            "exhaustive": family.exhaustive(k_cap)}
     rows = []
     if "target_set" in params:
         ok, cert = il.ideal_membership(family, set(params["target_set"]),
@@ -551,11 +564,11 @@ def _cmd_profile(args):
 def _cmd_run(args):
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
+        status, report = run(config)
+    except (ConfigError, il.IdealError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return 2
-    status, report = run(config)
     n_fail = len(report["audit_failures"])
     print(f"{config['experiment']}: "
           f"{'ok' if status == 0 else f'{n_fail} audit failures'}; "

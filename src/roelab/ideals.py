@@ -12,7 +12,8 @@ into every certificate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from .operator import operator_norm
 from .space import neighbourhood
@@ -44,6 +45,8 @@ class IdealFamily:
     generators: tuple  # tuple of frozensets of point ids
     max_union: object = None  # None or int
     k_grid: tuple = (0, 1, 2, 3, 5, 8, 13, 21)
+    _hoods: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         gens = tuple(frozenset(g) for g in self.generators)
@@ -56,18 +59,40 @@ class IdealFamily:
         return len(self.generators) if self.max_union is None \
             else min(self.max_union, len(self.generators))
 
+    def hoods(self, k):
+        """The generators' k-neighbourhoods, computed once per k."""
+        if k not in self._hoods:
+            self._hoods[k] = tuple(frozenset(neighbourhood(self.space, g, k))
+                                   for g in self.generators)
+        return self._hoods[k]
+
+    def search_size(self, k_cap):
+        """Number of (k, union) pairs an exhaustive search examines."""
+        n_ks = sum(1 for k in self.k_grid if k <= k_cap)
+        g = len(self.generators)
+        return max(n_ks, 1) * sum(math.comb(g, size)
+                                  for size in range(1, self.union_cap() + 1))
+
+    def exhaustive(self, k_cap):
+        """True when the search fits EXACT_SUBSET_SEARCH_LIMIT, so that a
+        negative membership answer is a proof."""
+        return self.search_size(k_cap) <= EXACT_SUBSET_SEARCH_LIMIT
+
     def candidate_sets(self, k_cap):
         """Certified sets N_k(union of <= cap generators), deduplicated,
-        yielded with their certificates."""
+        yielded with their certificates: smallest k first, then fewest
+        generators, then combination order.  Raises IdealError when the
+        search size exceeds EXACT_SUBSET_SEARCH_LIMIT."""
+        if not self.exhaustive(k_cap):
+            raise IdealError(
+                f"exhaustive search over {self.search_size(k_cap)} "
+                f"generator unions exceeds the limit of "
+                f"{EXACT_SUBSET_SEARCH_LIMIT}")
         seen = set()
-        cap = self.union_cap()
-        ks = [k for k in self.k_grid if k <= k_cap]
-        for k in ks:
-            hoods = [frozenset(neighbourhood(self.space, g, k))
-                     for g in self.generators]
-            for size in range(1, cap + 1):
-                for combo in itertools.combinations(
-                        range(len(self.generators)), size):
+        for k in (k for k in self.k_grid if k <= k_cap):
+            hoods = self.hoods(k)
+            for size in range(1, self.union_cap() + 1):
+                for combo in itertools.combinations(range(len(hoods)), size):
                     Y = frozenset().union(*(hoods[i] for i in combo))
                     if Y not in seen:
                         seen.add(Y)
@@ -92,46 +117,39 @@ def finite_sets_family(space, seeds, max_union, k_grid=None):
 def ideal_membership(family, Z, k_cap):
     """Is Z covered by N_k(union of <= cap generators) with k <= k_cap?
 
-    Returns (bool, certificate-or-None).  Small generator pools are searched
-    exhaustively (fewest generators first, then smallest k); large pools
-    fall back to a greedy cover.
+    Returns (bool, certificate-or-None).  When `family.exhaustive(k_cap)`
+    the certified sets are searched in `candidate_sets` order (smallest k
+    first, then fewest generators) and a False is a proof; above the limit
+    a greedy cover runs instead, and its False is inconclusive.
     """
     Z = set(Z)
     if k_cap < 0:
         raise IdealError("k_cap must be non-negative")
     if not Z:
         return True, MembershipCertificate((), 0)
-    gens = family.generators
-    if not gens:
+    if family.exhaustive(k_cap):
+        for Y, cert in family.candidate_sets(k_cap):
+            if Z <= Y:
+                return True, cert
         return False, None
     cap = family.union_cap()
-    ks = [k for k in family.k_grid if k <= k_cap]
-    n_combos = sum(1 for size in range(1, cap + 1)
-                   for _ in itertools.combinations(range(len(gens)), size))
-    exhaustive = n_combos * max(len(ks), 1) <= EXACT_SUBSET_SEARCH_LIMIT
-    for k in ks:
-        hoods = [frozenset(neighbourhood(family.space, g, k)) for g in gens]
-        if exhaustive:
-            for size in range(1, cap + 1):
-                for combo in itertools.combinations(range(len(gens)), size):
-                    if Z <= set().union(*(hoods[i] for i in combo)):
-                        return True, MembershipCertificate(combo, k)
-        else:
-            chosen, covered = [], set()
-            for _ in range(cap):
-                best, best_gain = None, 0
-                for i, h in enumerate(hoods):
-                    if i in chosen:
-                        continue
-                    gain = len((Z & h) - covered)
-                    if gain > best_gain:
-                        best, best_gain = i, gain
-                if best is None:
-                    break
-                chosen.append(best)
-                covered |= hoods[best]
-                if Z <= covered:
-                    return True, MembershipCertificate(tuple(chosen), k)
+    for k in (k for k in family.k_grid if k <= k_cap):
+        hoods = family.hoods(k)
+        chosen, covered = [], set()
+        for _ in range(cap):
+            best, best_gain = None, 0
+            for i, h in enumerate(hoods):
+                if i in chosen:
+                    continue
+                gain = len((Z & h) - covered)
+                if gain > best_gain:
+                    best, best_gain = i, gain
+            if best is None:
+                break
+            chosen.append(best)
+            covered |= hoods[best]
+            if Z <= covered:
+                return True, MembershipCertificate(tuple(chosen), k)
     return False, None
 
 
@@ -159,13 +177,10 @@ def ghostly_membership(T, family, eps_grid=DEFAULT_EPS_GRID, k_cap=None):
     """
     if k_cap is None:
         k_cap = default_k_cap(family.space)
-    failing = None
     for eps in sorted(eps_grid, reverse=True):
-        Z = T.epsilon_rows(eps)
-        ok, _ = ideal_membership(family, Z, k_cap)
-        if not ok:
-            failing = eps if failing is None else max(failing, eps)
-    return failing is None, failing
+        if not ideal_membership(family, T.epsilon_rows(eps), k_cap)[0]:
+            return False, eps
+    return True, None
 
 
 def geometric_distance(T, family, tol=1e-9, k_cap=None):

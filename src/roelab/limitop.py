@@ -163,7 +163,6 @@ def cross_validate_ghostly(T, family, seqs, eps_grid=None, k_cap=None,
     verdicts and any discrepancy witnesses.
     """
     from .ideals import DEFAULT_EPS_GRID, default_k_cap, ghostly_membership
-    from .space import neighbourhood
 
     if eps_grid is None:
         eps_grid = DEFAULT_EPS_GRID
@@ -171,8 +170,7 @@ def cross_validate_ghostly(T, family, seqs, eps_grid=None, k_cap=None,
         k_cap = default_k_cap(family.space)
     for si, seq in enumerate(seqs):
         tail_pts = set(seq.points[-tail:])
-        for gi, gen in enumerate(family.generators):
-            hood = neighbourhood(family.space, gen, k_cap)
+        for gi, hood in enumerate(family.hoods(k_cap)):
             if tail_pts & hood:
                 raise DirectionError(
                     f"sequence {si} does not escape generator {gi}")

@@ -94,6 +94,64 @@ class TestLocalizationSweep:
             json.dumps(second, sort_keys=True)
 
 
+    def test_default_range_stops_where_centres_run_out(self, tmp_path):
+        cfg = {
+            "experiment": "localization-sweep",
+            "space": {"type": "grid", "dims": 1, "side": 80,
+                      "metric": "graph"},
+            "operator": {"kind": "adjacency"},
+            "output": base_output(tmp_path),
+        }
+        status, report = run(cfg)
+        assert status == 0
+        assert [r["S"] for r in report["body"]["rows"]] == list(range(2, 40))
+
+    def test_explicit_range_past_the_centres_rejected(self, tmp_path, capsys):
+        cfg = {
+            "experiment": "localization-sweep",
+            "space": {"type": "grid", "dims": 1, "side": 80,
+                      "metric": "graph"},
+            "operator": {"kind": "adjacency"},
+            "parameters": {"S_range": [2, 40]},
+            "output": base_output(tmp_path),
+        }
+        with pytest.raises(ConfigError, match="beyond S = 39"):
+            run(cfg)
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        assert "usage" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
+ISOLATED_POINTS = {"type": "graph", "n": 60, "edges": [],
+                   "separation_schedule": [25.0] * 60}
+ISOLATED_GENERATORS = [[1, 2, 3, 4], [1, 2, 5], [3, 4, 6]] + [
+    [p] for p in range(7, 49)]
+
+
+class TestRunValidationErrors:
+    @pytest.mark.parametrize("cfg, message", [
+        ({"experiment": "ideal-membership",
+          "space": {"type": "grid", "dims": 1, "side": 20,
+                    "metric": "graph"}},
+         "generators"),
+        ({"experiment": "witness-check",
+          "space": {"type": "grid", "dims": 1, "side": 8,
+                    "metric": "graph"},
+          "parameters": {"witness_radius": 5}},
+         "witness domain is empty"),
+        ({"experiment": "ideal-membership", "space": ISOLATED_POINTS,
+          "operator": {"kind": "adjacency"},
+          "parameters": {"generators": ISOLATED_GENERATORS,
+                         "max_union": 2, "k_cap": 10}},
+         "6210 generator unions exceeds the limit of 5000"),
+    ])
+    def test_exit_2_with_message(self, tmp_path, capsys, cfg, message):
+        cfg = dict(cfg, output=base_output(tmp_path))
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err and "usage" in err
+
+
 class TestExperiments:
     def test_ghost_audit(self, tmp_path):
         cfg = {
@@ -122,6 +180,26 @@ class TestExperiments:
         status, report = run(cfg)
         assert report["body"]["set_membership"] is True
         assert report["body"]["certificate"]["k"] == 0
+
+    def test_ideal_membership_labels_greedy_negative(self, tmp_path):
+        # generators 1 and 2 cover the target at k = 0, but 6210 searches
+        # exceed the limit and the greedy cover misses them
+        cfg = {
+            "experiment": "ideal-membership",
+            "space": ISOLATED_POINTS,
+            "parameters": {"generators": ISOLATED_GENERATORS,
+                           "max_union": 2, "k_cap": 10,
+                           "target_set": [1, 2, 3, 4, 5, 6]},
+            "output": base_output(tmp_path),
+        }
+        status, report = run(cfg)
+        assert report["body"]["set_membership"] is False
+        assert report["body"]["exhaustive"] is False
+        # single generators: 6 * 45 searches, so the negative is a proof
+        cfg["parameters"]["max_union"] = 1
+        status, report = run(cfg)
+        assert report["body"]["set_membership"] is False
+        assert report["body"]["exhaustive"] is True
 
     def test_limit_operator_shift(self, tmp_path):
         cfg = {
