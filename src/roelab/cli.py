@@ -1,7 +1,7 @@
 """Batch experiment driver: validated single-file configs, pipelines over
 the library modules, and JSON + CSV report emission.
 
-Exit codes: 0 ok, 1 assertion failure in audit mode, 2 usage or validation
+Exit codes: 0 ok, 1 audit assertion failure, 2 usage, validation or library
 error.  Reports are deterministic given (config, seeds); the timestamp is
 confined to a header field so the body reproduces byte for byte.
 """
@@ -21,8 +21,9 @@ from . import expander as ex
 from . import ideals as il
 from . import limitop as lo
 from . import witness as wt
-from .operator import BandOperator, operator_norm
-from .space import space_from_descriptor
+from .operator import (BandOperator, NormConvergenceError, OperatorError,
+                       operator_norm)
+from .space import SpaceError, space_from_descriptor
 
 SCHEMA_VERSION = 1
 
@@ -241,6 +242,8 @@ def _exp_localization_sweep(cfg):
         raise ConfigError(
             f"S_range ends at {hi_s}, but the default margin leaves no "
             f"window centre beyond S = {usable}")
+    if lo_s > hi_s:
+        raise ConfigError(f"S_range [{lo_s}, {hi_s}] is empty")
     mode = params.get("mode", "two_sided")
     rows = []
     for S in range(lo_s, hi_s + 1):
@@ -565,7 +568,9 @@ def _cmd_run(args):
     try:
         config = load_config(args.config)
         status, report = run(config)
-    except (ConfigError, il.IdealError) as exc:
+    except (ConfigError, SpaceError, OperatorError, NormConvergenceError,
+            wt.WitnessError, il.IdealError, lo.DirectionError,
+            ex.ExpanderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return 2

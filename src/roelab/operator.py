@@ -270,6 +270,14 @@ def schur_norm_bound(T):
     return float(np.sqrt(r.max() * c.max()))
 
 
+def active_points(T):
+    """Sorted ids of the points where T has a row or column entry, from one
+    boolean mask: O(n + nnz)."""
+    mask = np.zeros(T.space.n, dtype=bool)
+    mask[T.rows] = mask[T.cols] = True
+    return np.flatnonzero(mask)
+
+
 def dense_norm(T):
     """Exact spectral norm of the active block via LAPACK.
 
@@ -277,7 +285,7 @@ def dense_norm(T):
     modulus when the block is Hermitian; a full SVD only otherwise."""
     if T.is_zero():
         return 0.0
-    active = np.union1d(T.rows, T.cols)
+    active = active_points(T)
     lut = np.zeros(int(active.max()) + 1, dtype=np.int64)
     lut[active] = np.arange(active.size)
     vals = T.vals.real if not T.vals.imag.any() else T.vals
@@ -334,7 +342,7 @@ def operator_norm(T, tol=1e-9, max_iter=None):
         return 0.0
     key = (tol, max_iter)
     if key not in T._norms:
-        if np.union1d(T.rows, T.cols).size <= DENSE_NORM_CUTOFF:
+        if active_points(T).size <= DENSE_NORM_CUTOFF:
             T._norms[key] = dense_norm(T)
         else:
             T._norms[key] = power_iteration_norm(T, tol=tol,

@@ -144,6 +144,30 @@ class TestRunValidationErrors:
           "parameters": {"generators": ISOLATED_GENERATORS,
                          "max_union": 2, "k_cap": 10}},
          "6210 generator unions exceeds the limit of 5000"),
+        # the default powers:2 sequence has 6 terms on 100 points, and the
+        # default tail needs 8
+        pytest.param(
+            {"experiment": "limit-operator",
+             "space": {"type": "grid", "dims": 1, "side": 100,
+                       "metric": "graph"},
+             "operator": {"kind": "shift"}},
+            "sequence has 6 terms, tail needs 8",
+            id="limit-operator-short-sequence"),
+        # the default range on 4 points would end at S = 1, below its
+        # lower end 2
+        pytest.param(
+            {"experiment": "localization-sweep",
+             "space": {"type": "grid", "dims": 1, "side": 4,
+                       "metric": "graph"},
+             "operator": {"kind": "shift"}},
+            "S_range [2, 1] is empty", id="sweep-empty-default-range"),
+        pytest.param(
+            {"experiment": "localization-sweep",
+             "space": {"type": "grid", "dims": 1, "side": 40,
+                       "metric": "graph"},
+             "operator": {"kind": "shift"},
+             "parameters": {"S_range": [5, 3]}},
+            "S_range [5, 3] is empty", id="sweep-reversed-range"),
     ])
     def test_exit_2_with_message(self, tmp_path, capsys, cfg, message):
         cfg = dict(cfg, output=base_output(tmp_path))

@@ -17,9 +17,9 @@ from roelab import (
     second_eigenvalue,
     vanishing_in_direction,
 )
-from roelab.expander import chebyshev_degree_for
+from roelab.expander import _cheb_at, block_profile, chebyshev_degree_for
 from roelab.operator import dense_norm, operator_norm
-from roelab.space import build_graph_space
+from roelab.space import GraphSpace, build_graph_space
 
 
 def small_family(sizes=(10, 20, 40), seed=0, lam_max=2.99):
@@ -119,6 +119,70 @@ class TestChebyshevApprox:
             chebyshev_band_approx(g, 3.0, 4)
 
 
+def dense_chebyshev_reference(graph, lam_certificate, degree):
+    """Reference for `chebyshev_band_approx`: the same polynomial evaluated
+    with dense n x n products, its bulk values by cos / cosh.  Returns the
+    support (rows, cols), its entries and the bound."""
+    n, d = graph.n, graph.degree
+    A = np.zeros((n, n))
+    for u, v in graph.edges:
+        A[u, v] = A[v, u] = 1.0 / d
+    b = lam_certificate / d
+    bulk = np.sort(np.linalg.eigvalsh(A))[:-1]
+    distinct = np.unique(np.round(bulk, 9))
+    if degree == 0:
+        mat, p_bulk = np.eye(n), np.ones_like(bulk)
+    elif distinct.size <= degree:
+        denom = float(np.prod(1.0 - distinct))
+        mat = np.eye(n) / denom
+        for r in distinct:
+            mat = mat @ (A - r * np.eye(n))
+        p_bulk = np.prod(bulk[:, None] - distinct[None, :], axis=1) / denom
+    else:
+        M = A / b
+        t_prev, t_cur = np.eye(n), M.copy()
+        for _ in range(degree - 1):
+            t_prev, t_cur = t_cur, 2.0 * (M @ t_cur) - t_prev
+        scale = _cheb_at(degree, 1.0 / b)
+        mat = t_cur / scale
+        y = bulk / b
+        inside = np.abs(y) <= 1.0
+        p_bulk = np.empty_like(y)
+        p_bulk[inside] = np.cos(degree * np.arccos(y[inside]))
+        p_bulk[~inside] = np.sign(y[~inside]) ** degree * \
+            np.cosh(degree * np.arccosh(np.abs(y[~inside])))
+        p_bulk /= scale
+    rows, cols = np.nonzero(np.abs(mat) >= 1e-14)
+    return (rows, cols), mat[rows, cols], float(np.abs(p_bulk).max()) + 1e-12
+
+
+class TestChebyshevAgainstDenseReference:
+    @pytest.mark.parametrize("n, lam_max, seed, degrees", [
+        (20, 2.99, 0, (0,)),
+        (4, 1.5, 0, (1,)),            # K4: exact interpolation
+        (60, 2.9, 12345, (1, 2, 5, 9)),
+        (100, 2.9, 1, (3, 8, 13)),
+    ])
+    def test_support_entries_and_bound(self, n, lam_max, seed, degrees):
+        g = random_regular_expander(n, 3, lam_max, seed=seed)
+        for m in degrees:
+            a, bound = chebyshev_band_approx(g, g.second_eigenvalue, m)
+            (rows, cols), vals, ref_bound = dense_chebyshev_reference(
+                g, g.second_eigenvalue, m)
+            np.testing.assert_array_equal(a.rows, rows)
+            np.testing.assert_array_equal(a.cols, cols)
+            np.testing.assert_allclose(a.vals, vals, rtol=0, atol=1e-15)
+            assert bound == pytest.approx(ref_bound, rel=0, abs=1e-15)
+
+    def test_adjacency_is_sparse_and_symmetric(self):
+        g = random_regular_expander(60, 3, 2.9, seed=12345)
+        A = g.adjacency()
+        assert A.format == "csr" and A.nnz == 2 * len(g.edges) == 180
+        dense = A.toarray()
+        np.testing.assert_array_equal(dense, dense.T)
+        assert all(dense[u, v] == 1.0 for u, v in g.edges)
+
+
 class TestColumnSpace:
     def test_single_block_trivially_not_ghost(self):
         fam = small_family((10,), seed=1)
@@ -182,6 +246,22 @@ class TestResistanceBlocks:
         fam = small_family((60,), seed=6, lam_max=2.9)
         space, blocks, kappa = resistance_blocks(fam, 0.6, [2])
         assert len(blocks) == 1 and kappa <= 0.6
+
+    @pytest.mark.parametrize("separation", [None, [0.8, 0.9]])
+    def test_block_ball_sizes_match_own_space(self, separation):
+        # outposts 0.8 and 0.9 keep the blocks 1.7 apart: beyond the
+        # largest window radius S / 2 = 1.5, but within radius 2, where
+        # every ambient ball also holds the other block, which the profile
+        # must leave out
+        fam = small_family((60, 120), seed=5, lam_max=2.9)
+        space, blocks, _ = resistance_blocks(
+            fam, 0.5, [2, 3], separation_schedule=separation)
+        for g, (_, pts) in zip(fam.graphs, blocks):
+            for r in (1, 2):
+                own = GraphSpace(g.edges, n=g.n).geometry_profile(r)
+                assert block_profile(space, pts, r) == own
+        if separation is not None:
+            assert len(space.ball(0, 2)) > 120
 
     def test_growth_condition_enforced(self):
         fam = small_family((10, 20), seed=7)

@@ -196,6 +196,18 @@ class TestNormPaths:
             with pytest.raises(ValueError):
                 arr[0] = 1
 
+    def test_active_points_match_union(self, window100, base):
+        # shifts leave the first row and the last column empty; a single
+        # entry and a window restriction leave most of both empty
+        ops = [BandOperator.shift_1d(window100, 1),
+               BandOperator.shift_1d(window100, -3),
+               small_op(window100, {(3, 7): 1.0}),
+               base.window_restrict(range(10, 30), range(28, 40)),
+               BandOperator(window100, [], [], [])]
+        for T in ops:
+            np.testing.assert_array_equal(opr.active_points(T),
+                                          np.union1d(T.rows, T.cols))
+
 
 class TestAlgebra:
     def test_identity_multiply(self, window100):
