@@ -203,13 +203,12 @@ def random_band_operator(space, propagation, density, seed):
     """Random complex band operator: each entry within the propagation band
     is present with the given probability."""
     rng = np.random.default_rng(seed)
-    rows, cols = [], []
-    for x in space.points:
-        for y in space.ball(x, propagation):
-            if rng.random() < density:
-                rows.append(x)
-                cols.append(y)
-    vals = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    rows, cols = space.pairs_within(propagation)
+    # one uniform per pair, in lexicographic order: rng.random(k) yields the
+    # same stream as k scalar draws
+    keep = rng.random(rows.size) < density
+    rows, cols = rows[keep], cols[keep]
+    vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
     return BandOperator(space, rows, cols, vals)
 
 

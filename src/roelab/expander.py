@@ -95,15 +95,12 @@ def constant_projection(space, blocks):
         if seen & bs:
             raise ExpanderError("projection blocks overlap")
         seen |= bs
-    rows, cols, vals = [], [], []
-    for b in blocks:
-        w = 1.0 / len(b)
-        for x in b:
-            for y in b:
-                rows.append(x)
-                cols.append(y)
-                vals.append(w)
-    return BandOperator(space, rows, cols, vals)
+    # block b contributes B x B in lexicographic order, each entry 1 / |B|
+    rows = [np.repeat(b, len(b)) for b in blocks] or [[]]
+    cols = [np.tile(b, len(b)) for b in blocks] or [[]]
+    vals = [np.full(len(b) ** 2, 1.0 / len(b)) for b in blocks] or [[]]
+    return BandOperator(space, np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(vals))
 
 
 def chebyshev_degree_for(gap_ratio, target):

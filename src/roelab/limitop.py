@@ -84,7 +84,7 @@ class DirectionSequence:
 
 
 def _window_values(T, seq, window_radius, tail):
-    """values[(i, j)] = list of T(h + i, h + j) over the last `tail` terms."""
+    """values[(i, j)] = array of T(h + i, h + j) over the last `tail` terms."""
     if tail < 2:
         raise DirectionError("tail must have at least 2 terms")
     if len(seq.points) < tail:
@@ -97,14 +97,12 @@ def _window_values(T, seq, window_radius, tail):
         if h - w < 0 or h + w >= n:
             raise DirectionError(
                 f"tail point {h} is within {w} of the id boundary")
-    lookup = {}
-    for x, y, v in zip(T.rows, T.cols, T.vals):
-        lookup[(int(x), int(y))] = complex(v)
-    values = {}
-    for i in range(-w, w + 1):
-        for j in range(-w, w + 1):
-            values[(i, j)] = [lookup.get((h + i, h + j), 0j) for h in terms]
-    return values
+    offs = np.arange(-w, w + 1)
+    terms = np.asarray(terms)
+    # vals[i + w, j + w, t] = T(h_t + i, h_t + j)
+    vals = T.values_at(terms + offs[:, None, None], terms + offs[:, None])
+    return {(i, j): vals[i + w, j + w] for i in range(-w, w + 1)
+            for j in range(-w, w + 1)}
 
 
 def empirical_limit_operator(T, seq, window_radius=DEFAULT_WINDOW_RADIUS,
@@ -123,8 +121,7 @@ def empirical_limit_operator(T, seq, window_radius=DEFAULT_WINDOW_RADIUS,
     offenders = set()
     entries = {}
     for (i, j), vals in values.items():
-        arr = np.array(vals)
-        osc = float(np.abs(arr[:, None] - arr[None, :]).max())
+        osc = float(np.abs(vals[:, None] - vals[None, :]).max())
         oscillation[(i, j)] = osc
         if osc > tol:
             offenders.add((i, j))
@@ -145,10 +142,9 @@ def vanishing_in_direction(T, seq, window_radius=DEFAULT_WINDOW_RADIUS,
     modulus and oscillates less than eps."""
     values = _window_values(T, seq, window_radius, tail)
     for vals in values.values():
-        arr = np.array(vals)
-        if np.abs(arr).max() >= eps:
+        if np.abs(vals).max() >= eps:
             return False
-        if np.abs(arr[:, None] - arr[None, :]).max() >= eps:
+        if np.abs(vals[:, None] - vals[None, :]).max() >= eps:
             return False
     return True
 

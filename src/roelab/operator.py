@@ -26,6 +26,12 @@ class NormConvergenceError(RuntimeError):
         self.bracket = bracket
 
 
+def _check_ids(n, *ids):
+    """Ids outside 0..n-1 would alias other coordinates' keys row * n + col."""
+    if any(a.size and (a.min() < 0 or a.max() >= n) for a in ids):
+        raise OperatorError(f"point ids must lie in 0..{n - 1}")
+
+
 class BandOperator:
     """Sparse operator on ell^2 of a finite coarse space.
 
@@ -35,33 +41,34 @@ class BandOperator:
     operators.  `operator_norm` caches its results in `_norms`.
     """
 
-    __slots__ = ("space", "rows", "cols", "vals", "propagation", "_norms")
+    __slots__ = ("space", "rows", "cols", "vals", "propagation", "_keys",
+                 "_norms")
 
     def __init__(self, space, rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.complex128)
+        _check_ids(space.n, rows, cols)
         keep = np.abs(vals) >= PRUNE_THRESHOLD
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        if rows.size:
-            key = rows * space.n + cols
-            order = np.argsort(key, kind="stable")
-            rows, cols, vals, key = rows[order], cols[order], vals[order], key[order]
-            if np.any(key[1:] == key[:-1]):
-                # merge duplicate coordinates
-                uniq, inv = np.unique(key, return_inverse=True)
-                merged = np.zeros(uniq.size, dtype=np.complex128)
-                np.add.at(merged, inv, vals)
-                rows, cols = uniq // space.n, uniq % space.n
-                vals = merged
-                keep = np.abs(vals) >= PRUNE_THRESHOLD
-                rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        for arr in (rows, cols, vals):
+        # entries are kept sorted by the key row * n + col
+        keys = rows[keep] * space.n + cols[keep]
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], vals[keep][order]
+        if np.any(keys[1:] == keys[:-1]):
+            # merge duplicate coordinates
+            keys, inv = np.unique(keys, return_inverse=True)
+            merged = np.zeros(keys.size, dtype=np.complex128)
+            np.add.at(merged, inv, vals)
+            keep = np.abs(merged) >= PRUNE_THRESHOLD
+            keys, vals = keys[keep], merged[keep]
+        rows, cols = np.divmod(keys, space.n)
+        for arr in (rows, cols, vals, keys):
             arr.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "vals", vals)
+        object.__setattr__(self, "_keys", keys)
         prop = 0
         if rows.size and np.any(rows != cols):
             off = rows != cols
@@ -93,13 +100,9 @@ class BandOperator:
     @classmethod
     def adjacency(cls, space, R=1, normalize=False):
         """Indicator of the pairs at distance exactly in (0, R]."""
-        rows, cols = [], []
-        for x in space.points:
-            for y in space.ball(x, R):
-                if y != x:
-                    rows.append(x)
-                    cols.append(y)
-        op = cls(space, rows, cols, np.ones(len(rows)))
+        rows, cols = space.pairs_within(R)
+        off = rows != cols
+        op = cls(space, rows[off], cols[off], np.ones(int(off.sum())))
         if normalize and op.nnz:
             deg = int(np.bincount(op.rows, minlength=space.n).max())
             op = op.scale(1.0 / deg)
@@ -123,9 +126,21 @@ class BandOperator:
                 for x, y, v in zip(self.rows, self.cols, self.vals)}
 
     def entry(self, x, y):
-        hit = (self.rows == x) & (self.cols == y)
-        idx = np.flatnonzero(hit)
-        return complex(self.vals[idx[0]]) if idx.size else 0j
+        return complex(self.values_at(x, y))
+
+    def values_at(self, x, y):
+        """T(x, y) at (broadcast) arrays of point ids, zero where T has no
+        entry; real when every entry of T is.  One binary search on the
+        sorted keys per coordinate."""
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        _check_ids(self.space.n, x, y)
+        want = x * self.space.n + y
+        if not self.nnz:
+            return np.zeros(want.shape)
+        pos = np.searchsorted(self._keys, want)
+        hit = self._keys.take(pos, mode="clip") == want
+        vals = self.vals.real if not self.vals.imag.any() else self.vals
+        return np.where(hit, vals.take(pos, mode="clip"), 0)
 
     def support(self):
         return {(int(x), int(y)) for x, y in zip(self.rows, self.cols)}

@@ -10,7 +10,6 @@ entourage membership never flickers at a boundary.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -62,6 +61,11 @@ class CoarseSpace:
         """Sorted list of points within distance r of x."""
         raise NotImplementedError
 
+    def pairs_within(self, r):
+        """(rows, cols): every pair (x, y) with d(x, y) <= r, in
+        lexicographic order, the order of the concatenated balls."""
+        raise NotImplementedError
+
     def diameter(self):
         raise NotImplementedError
 
@@ -71,8 +75,7 @@ class CoarseSpace:
 
     def pair_distances(self, rows, cols):
         """Vectorized distances for parallel arrays of point ids."""
-        return np.array([self.distance(int(x), int(y))
-                         for x, y in zip(rows, cols)], dtype=float)
+        raise NotImplementedError
 
     def descriptor(self):
         raise NotImplementedError
@@ -81,21 +84,31 @@ class CoarseSpace:
         return json.dumps(self.descriptor(), sort_keys=True)
 
     def check_triangle(self, samples=2000, seed=0):
-        """Exhaustive triple check for small spaces, random triples above."""
+        """Exhaustive triple check for small spaces, random triples above;
+        returns the first violating triple (x, y, z) in the order checked."""
         n = self.n
         if n <= 500 and n ** 3 <= 5 * 10 ** 6:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = np.random.default_rng(seed)
-            triples = rng.integers(0, n, size=(samples, 3))
-        for x, y, z in triples:
-            if self.distance(x, z) > self.distance(x, y) + self.distance(y, z):
-                return False, (int(x), int(y), int(z))
+            d = self.pair_distances(*np.divmod(np.arange(n * n), n))
+            d = d.reshape(n, n)
+            for x in range(n):
+                # bad[y, z]: d(x, z) > d(x, y) + d(y, z)
+                bad = d[x][None, :] > d[x][:, None] + d
+                if bad.any():
+                    return False, (x, *divmod(int(bad.argmax()), n))
+            return True, None
+        x, y, z = np.random.default_rng(seed).integers(0, n, (samples, 3)).T
+        bad = (self.pair_distances(x, z)
+               > self.pair_distances(x, y) + self.pair_distances(y, z))
+        if bad.any():
+            i = int(bad.argmax())
+            return False, (int(x[i]), int(y[i]), int(z[i]))
         return True, None
 
 
 class GridSpace(CoarseSpace):
-    """Integer box {0..side-1}^dims with one of the supported metrics."""
+    """Integer box {0..side-1}^dims with one of the supported metrics.  Every
+    distance, ball and pair set comes from one n x dims coordinate array
+    (most significant first) and one vectorized metric."""
 
     def __init__(self, dims, side, metric_kind):
         if dims < 1 or side < 1:
@@ -111,69 +124,64 @@ class GridSpace(CoarseSpace):
         self.side = side
         self.metric_kind = metric_kind
         self.n = size
+        self._coords = np.stack(
+            np.unravel_index(np.arange(size), (side,) * dims), axis=1)
+        self._place = side ** np.arange(dims - 1, -1, -1)
         self._offset_cache = {}
         self._profile_cache = {}
 
+    def _metric(self, diffs):
+        """Distances for an array of coordinate differences (last axis)."""
+        diffs = np.abs(diffs)
+        if self.metric_kind == "sup":
+            return diffs.max(axis=-1)
+        if self.metric_kind == "graph":
+            return diffs.sum(axis=-1)
+        # rounded-euclidean: ceil keeps the triangle inequality exact
+        return np.ceil(np.sqrt((diffs * diffs).sum(axis=-1)))
+
     def coords(self, x):
-        out = []
-        for _ in range(self.dims):
-            x, c = divmod(x, self.side)
-            out.append(c)
-        return tuple(reversed(out))
+        return tuple(self._coords[x].tolist())
 
     def point_id(self, coords):
-        x = 0
-        for c in coords:
-            x = x * self.side + c
-        return x
-
-    def _metric_from_diffs(self, diffs):
-        if self.metric_kind == "sup":
-            return max(abs(d) for d in diffs)
-        if self.metric_kind == "graph":
-            return sum(abs(d) for d in diffs)
-        # rounded-euclidean: ceil keeps the triangle inequality exact
-        return math.ceil(math.sqrt(sum(d * d for d in diffs)))
+        return int(np.dot(coords, self._place))
 
     def distance(self, x, y):
-        cx, cy = self.coords(x), self.coords(y)
-        return self._metric_from_diffs([a - b for a, b in zip(cx, cy)])
-
-    def _offsets(self, r):
-        r = int(r)
-        if r not in self._offset_cache:
-            rng = range(-r, r + 1)
-            offs = [off for off in itertools.product(rng, repeat=self.dims)
-                    if self._metric_from_diffs(off) <= r]
-            self._offset_cache[r] = offs
-        return self._offset_cache[r]
-
-    def ball(self, x, r):
-        if r < 0:
-            return []
-        cx = self.coords(x)
-        out = []
-        for off in self._offsets(int(math.floor(r))):
-            c = tuple(a + b for a, b in zip(cx, off))
-            if all(0 <= v < self.side for v in c):
-                out.append(self.point_id(c))
-        out.sort()
-        return out
+        return int(self._metric(self._coords[x] - self._coords[y]))
 
     def pair_distances(self, rows, cols):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        diffs = []
-        for _ in range(self.dims):
-            rows, rc = np.divmod(rows, self.side)
-            cols, cc = np.divmod(cols, self.side)
-            diffs.append(np.abs(rc - cc))
-        diffs = np.stack(diffs)
-        if self.metric_kind == "sup":
-            return diffs.max(axis=0).astype(float)
-        if self.metric_kind == "graph":
-            return diffs.sum(axis=0).astype(float)
-        return np.ceil(np.sqrt((diffs.astype(float) ** 2).sum(axis=0)))
+        diffs = self._coords[np.asarray(rows)] - self._coords[np.asarray(cols)]
+        return self._metric(diffs).astype(float)
+
+    def _offsets(self, r):
+        """Offsets of B(0, r) in lexicographic order, as an array with one
+        row per offset; no coordinate step beyond side - 1 can land."""
+        r = int(r)
+        if r not in self._offset_cache:
+            k = min(r, self.side - 1)
+            reach = np.arange(-k, k + 1)
+            offs = np.stack(np.meshgrid(*[reach] * self.dims, indexing="ij"),
+                            axis=-1).reshape(-1, self.dims)
+            self._offset_cache[r] = offs[self._metric(offs) <= r]
+        return self._offset_cache[r]
+
+    def _stencil(self, centers, r):
+        """Sorted ids of B(c, r) for each centre c, one row per centre padded
+        with n (which sorts after every point), and each row's size."""
+        pts = (self._coords[centers][:, None, :]
+               + self._offsets(math.floor(r))[None, :, :])
+        inside = ((pts >= 0) & (pts < self.side)).all(axis=2)
+        ids = np.where(inside, pts @ self._place, self.n)
+        ids.sort(axis=1)
+        return ids, inside.sum(axis=1)
+
+    def ball(self, x, r):
+        ids, size = self._stencil([x], r)
+        return ids[0, :size[0]].tolist()
+
+    def pairs_within(self, r):
+        ids, sizes = self._stencil(np.arange(self.n), r)
+        return np.repeat(np.arange(self.n), sizes), ids[ids < self.n]
 
     def geometry_profile(self, r):
         r = int(math.floor(r))
@@ -181,14 +189,12 @@ class GridSpace(CoarseSpace):
             return 0
         if r not in self._profile_cache:
             # ball sizes in a box are maximised at the most central point
-            center = self.point_id(tuple([self.side // 2] * self.dims))
-            self._profile_cache[r] = len(self.ball(center, r))
+            center = self.point_id([self.side // 2] * self.dims)
+            self._profile_cache[r] = int(self._stencil([center], r)[1][0])
         return self._profile_cache[r]
 
     def diameter(self):
-        lo = self.point_id(tuple([0] * self.dims))
-        hi = self.point_id(tuple([self.side - 1] * self.dims))
-        return self.distance(lo, hi)
+        return self.distance(0, self.n - 1)
 
     def descriptor(self):
         return {"type": "grid", "dims": self.dims, "side": self.side,
@@ -226,7 +232,7 @@ class GraphSpace(CoarseSpace):
             sched = [float(s) for s in separation_schedule[:ncomp]]
             if any(s <= 0 for s in sched):
                 raise SpaceError("separation schedule must be positive")
-            out = np.array([sched[labels[i]] for i in range(self.n)])
+            out = np.asarray(sched)[labels]
             cross = out[:, None] + out[None, :]
             mask = labels[:, None] != labels[None, :]
             dist = np.where(mask, cross, dist)
@@ -243,6 +249,9 @@ class GraphSpace(CoarseSpace):
 
     def ball(self, x, r):
         return np.flatnonzero(self._dist[x] <= r).tolist()
+
+    def pairs_within(self, r):
+        return np.nonzero(self._dist <= r)
 
     def pair_distances(self, rows, cols):
         return self._dist[np.asarray(rows, dtype=np.int64),
@@ -321,11 +330,8 @@ def entourage(space, R):
     """All ordered pairs at distance <= R (symmetric, contains diagonal)."""
     if R < 0:
         raise SpaceError("negative radius")
-    pairs = set()
-    for x in space.points:
-        for y in space.ball(x, R):
-            pairs.add((x, y))
-    return pairs
+    rows, cols = space.pairs_within(R)
+    return set(zip(rows.tolist(), cols.tolist()))
 
 
 def decompose_entourage(space, R):
@@ -335,9 +341,11 @@ def decompose_entourage(space, R):
     each part uses every row and column at most once, so the parts are
     bijections.  Part count is at most 2 * geometry_profile(R) - 1.
     """
-    pairs = sorted(entourage(space, R))
+    if R < 0:
+        raise SpaceError("negative radius")
+    rows, cols = space.pairs_within(R)
     parts = []  # (rows used, cols used, list of pairs)
-    for x, y in pairs:
+    for x, y in zip(rows.tolist(), cols.tolist()):
         for rows, cols, members in parts:
             if x not in rows and y not in cols:
                 rows.add(x)

@@ -102,17 +102,17 @@ def l1_difference(u, v):
 
 def check_partition_witness(space, witness, R):
     """Max of ||xi_x - xi_y||_1 over domain pairs at distance <= R, and the
-    pair achieving it."""
+    first pair x < y, in lexicographic order, achieving it."""
     witness.validate(space)
-    domain = set(witness.domain)
+    domain = np.zeros(space.n, dtype=bool)
+    domain[list(witness.domain)] = True
+    rows, cols = space.pairs_within(R)
+    keep = (rows < cols) & domain[rows] & domain[cols]
     worst, worst_pair = 0.0, None
-    for x in witness.domain:
-        for y in space.ball(x, R):
-            if y <= x or y not in domain:
-                continue
-            var = l1_difference(witness.vectors[x], witness.vectors[y])
-            if var > worst:
-                worst, worst_pair = var, (x, y)
+    for x, y in zip(rows[keep].tolist(), cols[keep].tolist()):
+        var = l1_difference(witness.vectors[x], witness.vectors[y])
+        if var > worst:
+            worst, worst_pair = var, (x, y)
     return worst, worst_pair
 
 
@@ -149,20 +149,12 @@ def check_positive_type(kernel, subsets):
     return True
 
 
-def _grid_coords(space):
-    """n x dims array of grid coordinates, most significant first, matching
-    `GridSpace.coords`."""
-    shape = (space.side,) * space.dims
-    return np.stack(np.unravel_index(np.arange(space.n), shape), axis=1)
-
-
 def default_margin(space, S):
     """Grid boundary points within S of an edge; finite windows of a grid
     under-report interior norms near edges."""
     if not isinstance(space, GridSpace):
         return frozenset()
-    coords = _grid_coords(space)
-    near = ((coords < S) | (coords >= space.side - S)).any(axis=1)
+    near = ((space._coords < S) | (space._coords >= space.side - S)).any(1)
     return frozenset(np.flatnonzero(near).tolist())
 
 
@@ -184,21 +176,12 @@ def candidate_windows(space, S, margin):
         return windows
     if not isinstance(space, GridSpace):
         return [(c, tuple(space.ball(c, S / 2.0))) for c in centers]
-    offsets = np.array(space._offsets(S // 2),
-                       dtype=np.int64).reshape(-1, space.dims)
-    place = space.side ** np.arange(space.dims - 1, -1, -1)
-    coords = _grid_coords(space)
     windows = []
-    step = max(1, WINDOW_BATCH_ELEMENTS // max(len(offsets), 1))
+    step = max(1, WINDOW_BATCH_ELEMENTS // max(len(space._offsets(S // 2)), 1))
     for lo in range(0, len(centers), step):
         chunk = centers[lo:lo + step]
-        pts = coords[chunk][:, None, :] + offsets[None, :, :]
-        inside = ((pts >= 0) & (pts < space.side)).all(axis=2)
-        # outside points get id n, which sorts after every real point
-        ids = np.where(inside, pts @ place, space.n)
-        ids.sort(axis=1)
-        for c, row, size in zip(chunk, ids.tolist(),
-                                inside.sum(axis=1).tolist()):
+        ids, sizes = space._stencil(chunk, S // 2)
+        for c, row, size in zip(chunk, ids.tolist(), sizes.tolist()):
             windows.append((c, tuple(row[:size])))
     return windows
 
@@ -216,15 +199,7 @@ def _block_gatherer(T, mode):
             dense = dense.conj().T @ dense
         return lambda idx: dense[idx[:, :, None], idx[:, None, :]]
     op = T if mode == "two_sided" else T.adjoint() @ T
-    keys = op.rows * n + op.cols  # sorted: BandOperator orders by this key
-    vals = op.vals.real if not op.vals.imag.any() else op.vals
-
-    def gather(idx):
-        want = idx[:, :, None] * n + idx[:, None, :]
-        pos = np.searchsorted(keys, want)
-        hit = keys.take(pos, mode="clip") == want
-        return np.where(hit, vals.take(pos, mode="clip"), 0)
-    return gather
+    return lambda idx: op.values_at(idx[:, :, None], idx[:, None, :])
 
 
 def _window_norms(blocks, mode):

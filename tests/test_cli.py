@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from roelab import BandOperator, build_grid_space
+from roelab import BandOperator, build_graph_space, build_grid_space
 from roelab.cli import (
     ConfigError,
     load_config,
     main,
+    random_band_operator,
     run,
 )
 
@@ -128,6 +129,16 @@ ISOLATED_GENERATORS = [[1, 2, 3, 4], [1, 2, 5], [3, 4, 6]] + [
     [p] for p in range(7, 49)]
 
 
+def shift20_on_10_points(tmp_path):
+    """A file operator holding the 20-point shift, loaded onto 10 points."""
+    path = str(tmp_path / "shift20.txt")
+    BandOperator.shift_1d(build_grid_space(1, 20, "graph")).serialize(path)
+    return {"experiment": "ghost-audit",
+            "space": {"type": "grid", "dims": 1, "side": 10,
+                      "metric": "graph"},
+            "operator": {"kind": "file", "path": path}}
+
+
 class TestRunValidationErrors:
     @pytest.mark.parametrize("cfg, message", [
         ({"experiment": "ideal-membership",
@@ -168,8 +179,13 @@ class TestRunValidationErrors:
              "operator": {"kind": "shift"},
              "parameters": {"S_range": [5, 3]}},
             "S_range [5, 3] is empty", id="sweep-reversed-range"),
+        # ids 10..19 would alias ids on the 10-point grid
+        pytest.param(shift20_on_10_points, "point ids must lie in 0..9",
+                     id="file-operator-ids-out-of-range"),
     ])
     def test_exit_2_with_message(self, tmp_path, capsys, cfg, message):
+        if callable(cfg):
+            cfg = cfg(tmp_path)
         cfg = dict(cfg, output=base_output(tmp_path))
         assert main(["run", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
@@ -280,6 +296,51 @@ class TestExperiments:
         status, report = run(cfg)
         assert status == 1
         assert report["audit_failures"]
+
+
+def assert_same_entries(got, ref):
+    for a, b in ((got.rows, ref.rows), (got.cols, ref.cols),
+                 (got.vals, ref.vals)):
+        assert a.tobytes() == b.tobytes()
+
+
+def reference_random_band_operator(space, propagation, density, seed):
+    """The per-pair loop that `random_band_operator` ran before it drew
+    all its keep decisions at once."""
+    rng = np.random.default_rng(seed)
+    rows, cols = [], []
+    for x in space.points:
+        for y in space.ball(x, propagation):
+            if rng.random() < density:
+                rows.append(x)
+                cols.append(y)
+    vals = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    return BandOperator(space, rows, cols, vals)
+
+
+class TestRandomBandOperator:
+    @pytest.mark.parametrize("space", [
+        build_grid_space(1, 40, "graph"),
+        build_grid_space(2, 9, "sup"),
+        build_grid_space(2, 8, "euclidean-rounded"),
+        build_grid_space(3, 4, "graph"),
+        build_graph_space([(0, 1), (1, 2), (2, 3), (4, 5)], n=7,
+                          separation_schedule=[1, 2, 0.5]),
+    ])
+    def test_bit_identical_to_pair_loop(self, space):
+        for seed in range(5):
+            for propagation, density in ((0, 0.5), (2, 0.3), (3.5, 0.9)):
+                got = random_band_operator(space, propagation, density, seed)
+                ref = reference_random_band_operator(space, propagation,
+                                                     density, seed)
+                assert_same_entries(got, ref)
+
+    def test_benchmark_operator_without_a_gap(self):
+        # the band workload's redraw example on the 26 x 26 grid
+        grid = build_grid_space(2, 26, "graph")
+        args = (grid, 3, 0.152692502235424, 1951822153)
+        assert_same_entries(random_band_operator(*args),
+                            reference_random_band_operator(*args))
 
 
 class TestOneShots:

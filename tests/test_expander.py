@@ -77,6 +77,32 @@ class TestConstantProjection:
         np.testing.assert_allclose(P.adjoint().to_dense(), P.to_dense(),
                                    atol=1e-12)
 
+    def test_entries_are_exactly_one_over_block_size(self):
+        fam = small_family((10, 20), seed=3)
+        col = build_column_space(fam.graphs, 2, [5, 7, 9])
+        blocks = [pts for _, _, pts in col.blocks]
+        P = constant_projection(col.space, blocks)
+        # the triple loop that constant_projection ran before
+        rows, cols, vals = [], [], []
+        for b in [sorted(b) for b in blocks]:
+            for x in b:
+                for y in b:
+                    rows.append(x)
+                    cols.append(y)
+                    vals.append(1.0 / len(b))
+        ref = BandOperator(col.space, rows, cols, vals)
+        for a, b in ((P.rows, ref.rows), (P.cols, ref.cols),
+                     (P.vals, ref.vals)):
+            assert a.tobytes() == b.tobytes()
+        size = {x: len(b) for b in blocks for x in b}
+        assert P.nnz == sum(len(b) ** 2 for b in blocks)
+        for (x, y), v in P.entries().items():
+            assert size[x] == size[y] and v == 1.0 / size[x]
+
+    def test_no_blocks_is_zero(self):
+        sp = build_graph_space([(0, 1)])
+        assert constant_projection(sp, []).is_zero()
+
     def test_overlap_rejected(self):
         sp = build_graph_space([(0, 1), (1, 2)])
         with pytest.raises(ExpanderError):

@@ -41,6 +41,41 @@ class TestConstruction:
         by_hand = max(window100.distance(x, y) for x, y in T.support())
         assert T.propagation == by_hand
 
+    @pytest.mark.parametrize("rows, cols", [([0, 1], [10, 0]),
+                                            ([0, -1], [0, 3]),
+                                            ([10], [10])])
+    def test_point_ids_out_of_range_rejected(self, rows, cols):
+        # the key 0 * 10 + 10 would alias 1 * 10 + 0 and merge the entries
+        sp = build_grid_space(1, 10, "graph")
+        with pytest.raises(OperatorError, match="0..9"):
+            BandOperator(sp, rows, cols, np.ones(len(rows)))
+
+    def test_pruned_out_of_range_id_still_rejected(self):
+        sp = build_grid_space(1, 10, "graph")
+        with pytest.raises(OperatorError):
+            BandOperator(sp, [0, 12], [0, 0], [1.0, 0.0])
+
+    def test_adjacency_matches_ball_loop(self):
+        spaces = [build_grid_space(1, 30, "graph"),
+                  build_grid_space(2, 8, "euclidean-rounded"),
+                  build_grid_space(3, 4, "sup"),
+                  build_graph_space([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)],
+                                    separation_schedule=[1.5, 2.0])]
+        for sp in spaces:
+            for R in (0, 1, 2.5, 3):
+                # the loop that adjacency ran before `pairs_within`
+                rows, cols = [], []
+                for x in sp.points:
+                    for y in sp.ball(x, R):
+                        if y != x:
+                            rows.append(x)
+                            cols.append(y)
+                ref = BandOperator(sp, rows, cols, np.ones(len(rows)))
+                got = BandOperator.adjacency(sp, R)
+                for a, b in ((got.rows, ref.rows), (got.cols, ref.cols),
+                             (got.vals, ref.vals)):
+                    assert a.tobytes() == b.tobytes()
+
     def test_immutable(self, window100):
         T = BandOperator.identity(window100)
         with pytest.raises(AttributeError):
@@ -50,6 +85,45 @@ class TestConstruction:
         I = BandOperator.identity(window100)
         assert I.nnz == 100
         assert I.propagation == 0
+
+
+class TestLookup:
+    @pytest.mark.parametrize("space", [build_grid_space(1, 60, "graph"),
+                                       build_grid_space(2, 9, "sup")])
+    def test_values_at_matches_entries(self, space):
+        rng = np.random.default_rng(5)
+        for seed in range(6):
+            T = random_band_operator(space, 2, 0.4, seed=seed)
+            if seed % 2:
+                T = BandOperator(space, T.rows, T.cols, T.vals.real)
+            ref = T.entries()
+            xs = rng.integers(0, space.n, 400)
+            ys = rng.integers(0, space.n, 400)
+            got = T.values_at(xs, ys)
+            assert np.iscomplexobj(got) == (seed % 2 == 0)
+            assert [ref.get((x, y), 0) for x, y in
+                    zip(xs.tolist(), ys.tolist())] == got.tolist()
+            # absent coordinates included: most random pairs are far apart
+            assert sum((x, y) not in ref for x, y in
+                       zip(xs.tolist(), ys.tolist())) > 100
+            for (x, y), v in ref.items():
+                assert T.entry(x, y) == v
+            assert T.entry(0, space.n - 1) == 0j
+
+    def test_broadcast_shape_and_zero_operator(self):
+        sp = build_grid_space(1, 20, "graph")
+        S = BandOperator.shift_1d(sp)
+        got = S.values_at(np.arange(1, 20)[:, None], np.arange(19)[None, :])
+        np.testing.assert_array_equal(got, np.eye(19))
+        Z = BandOperator(sp, [], [], [])
+        assert Z.values_at([0, 1], [1, 0]).tolist() == [0, 0]
+        assert Z.entry(3, 3) == 0j
+
+    def test_out_of_range_lookup_rejected(self):
+        sp = build_grid_space(1, 20, "graph")
+        S = BandOperator.shift_1d(sp)
+        with pytest.raises(OperatorError):
+            S.values_at([1], [20])
 
 
 class TestEpsilonSupport:

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from roelab import (
+    CoarseSpace,
     GraphSpace,
     GridSpace,
     SpaceError,
@@ -16,6 +18,25 @@ from roelab import (
     space_from_descriptor,
     write_edge_list,
 )
+
+
+METRIC_KINDS = ("sup", "graph", "euclidean-rounded")
+
+
+def closed_form_distance(kind, dims, side, x, y):
+    """Grid distance from base-`side` digits, most significant first."""
+    diffs = [abs(x // side ** k % side - y // side ** k % side)
+             for k in range(dims)]
+    if kind == "sup":
+        return max(diffs)
+    if kind == "graph":
+        return sum(diffs)
+    return math.ceil(math.sqrt(sum(d * d for d in diffs)))
+
+
+def reference_pairs(space, r):
+    """The pair loop that `pairs_within` replaces: balls in point order."""
+    return [(x, y) for x in space.points for y in space.ball(x, r)]
 
 
 def two_triangles(separation=(5, 5)):
@@ -64,6 +85,18 @@ class TestGridSpace:
         vec = sp.pair_distances(xs, ys)
         for x, y, d in zip(xs, ys, vec):
             assert sp.distance(int(x), int(y)) == d
+        # both paths share one metric; check them against the closed form
+        for kind in METRIC_KINDS:
+            for dims, side in ((1, 9), (2, 6), (3, 4)):
+                sp = build_grid_space(dims, side, kind)
+                xs = rng.integers(0, sp.n, 60)
+                ys = rng.integers(0, sp.n, 60)
+                vec = sp.pair_distances(xs, ys)
+                for x, y, d in zip(xs.tolist(), ys.tolist(), vec):
+                    ref = closed_form_distance(kind, dims, side, x, y)
+                    assert d == ref
+                    assert sp.distance(x, y) == ref
+                    assert isinstance(sp.distance(x, y), int)
 
     def test_size_limit(self):
         with pytest.raises(SpaceError):
@@ -210,3 +243,87 @@ class TestDecomposeEntourage:
         for R in (1, 2):
             parts = self.audit(sp, R)
             assert len(parts) <= 2 * sp.geometry_profile(R) - 1
+
+
+class TestPairsWithin:
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    @pytest.mark.parametrize("dims, side", [(1, 12), (2, 7), (3, 5)])
+    def test_grid_matches_ball_loop_and_closed_form(self, kind, dims, side):
+        sp = build_grid_space(dims, side, kind)
+        for r in (0, 1, 2.5, 3, -1):
+            rows, cols = sp.pairs_within(r)
+            got = list(zip(rows.tolist(), cols.tolist()))
+            assert got == reference_pairs(sp, r)
+            closed = [(x, y) for x in sp.points for y in sp.points
+                      if closed_form_distance(kind, dims, side, x, y) <= r]
+            assert got == closed
+
+    def test_graph_space_with_separation_schedule(self):
+        sp = build_graph_space([(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)],
+                               n=9, separation_schedule=[1.5, 2, 3.25, 0.5])
+        for r in (0, 1, 2.5, 3, 3.5, 4, 5.75, -1):
+            rows, cols = sp.pairs_within(r)
+            assert list(zip(rows.tolist(), cols.tolist())) == \
+                reference_pairs(sp, r)
+
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    def test_entourage_is_the_pair_set(self, kind):
+        sp = build_grid_space(2, 6, kind)
+        for R in (0, 1, 2.5):
+            assert entourage(sp, R) == set(reference_pairs(sp, R))
+
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    def test_profile_and_diameter_closed_form(self, kind):
+        sp = build_grid_space(2, 7, kind)
+        for r in (0, 1, 2, 3.5, 12):
+            assert sp.geometry_profile(r) == max(
+                len(sp.ball(x, r)) for x in sp.points)
+        assert sp.diameter() == max(
+            closed_form_distance(kind, 2, 7, x, y)
+            for x in sp.points for y in sp.points)
+
+
+class MatrixSpace(CoarseSpace):
+    """Finite 'space' with a given distance matrix, metric or not."""
+
+    def __init__(self, dist):
+        self._dist = np.asarray(dist, dtype=float)
+        self.n = len(dist)
+
+    def distance(self, x, y):
+        return self._dist[x, y]
+
+    def pair_distances(self, rows, cols):
+        return self._dist[rows, cols]
+
+
+class TestTriangleCheck:
+    def test_reports_first_violating_triple(self):
+        # d(0, 2) = d(2, 0) = 5 > d(0, 1) + d(1, 2) = 2
+        dist = np.array([[0, 1, 5, 1], [1, 0, 1, 1],
+                         [5, 1, 0, 1], [1, 1, 1, 0]])
+        sp = MatrixSpace(dist)
+        first = next((x, y, z) for x in range(4) for y in range(4)
+                     for z in range(4)
+                     if dist[x, z] > dist[x, y] + dist[y, z])
+        assert sp.check_triangle() == (False, first) == (False, (0, 1, 2))
+        # the same order on random, not even symmetric, matrices
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            dist = rng.integers(1, 6, (7, 7))
+            first = next(((x, y, z) for x in range(7) for y in range(7)
+                          for z in range(7)
+                          if dist[x, z] > dist[x, y] + dist[y, z]), None)
+            assert MatrixSpace(dist).check_triangle() == (first is None, first)
+
+    def test_sampled_triples_above_the_exhaustive_size(self):
+        n = 600
+        sp = MatrixSpace(np.ones((n, n)) - np.eye(n))
+        assert sp.check_triangle() == (True, None)
+        # even points at mutual distance 3, but 2 apart through an odd one
+        even = np.arange(n) % 2 == 0
+        dist = np.where(even[:, None] & even[None, :], 3.0, 1.0)
+        np.fill_diagonal(dist, 0.0)
+        ok, triple = MatrixSpace(dist).check_triangle(samples=5000)
+        x, y, z = triple
+        assert not ok and dist[x, z] > dist[x, y] + dist[y, z]

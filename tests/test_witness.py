@@ -76,6 +76,30 @@ class TestWitnessVariation:
         variation, pair = check_partition_witness(window, w, 1)
         assert set(pair) <= set(D)
 
+    @pytest.mark.parametrize("sp", [
+        build_grid_space(1, 40, "graph"),
+        build_grid_space(2, 12, "euclidean-rounded"),
+        build_grid_space(3, 6, "sup"),
+        build_graph_space([(i, i + 1) for i in range(11)]
+                          + [(12, 13), (13, 14), (14, 12)],
+                          separation_schedule=[1.5, 1.5])])
+    def test_matches_ball_loop(self, sp):
+        rng = np.random.default_rng(3)
+        for R in (1, 2.5):
+            D = sorted(rng.choice(sp.n, size=sp.n // 2, replace=False)
+                       .tolist())
+            w = averaging_witness_grid(sp, D, 1)
+            # the loop that check_partition_witness ran before
+            worst, worst_pair = 0.0, None
+            for x in w.domain:
+                for y in sp.ball(x, R):
+                    if y <= x or y not in set(D):
+                        continue
+                    var = l1_difference(w.vectors[x], w.vectors[y])
+                    if var > worst:
+                        worst, worst_pair = var, (x, y)
+            assert check_partition_witness(sp, w, R) == (worst, worst_pair)
+
     def test_validation_rejects_bad_mass(self, window):
         from roelab import WitnessFunction
         bad = WitnessFunction((0,), {0: {0: 0.7}}, 1)
@@ -300,6 +324,19 @@ class TestWindowEngine:
                 (b.witness_center, b.witness_window)
             assert a.best_constant == pytest.approx(b.best_constant,
                                                     abs=1e-12)
+
+    def test_sparse_gather_blocks_equal_dense(self, monkeypatch):
+        sp = build_grid_space(2, 12, "sup")
+        T = random_band_operator(sp, 2, 0.5, seed=6)
+        idx = np.random.default_rng(2).integers(0, sp.n, (40, 9))
+        dense = {mode: witness._block_gatherer(T, mode)(idx)
+                 for mode in ("two_sided", "column")}
+        monkeypatch.setattr(witness, "DENSE_WINDOW_CUTOFF", 0)
+        sparse = {mode: witness._block_gatherer(T, mode)(idx)
+                  for mode in ("two_sided", "column")}
+        np.testing.assert_array_equal(sparse["two_sided"], dense["two_sided"])
+        np.testing.assert_allclose(sparse["column"], dense["column"],
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("metric", ["sup", "graph", "euclidean-rounded"])
     def test_grid_windows_are_balls(self, metric):
