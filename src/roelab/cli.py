@@ -9,6 +9,7 @@ confined to a header field so the body reproduces byte for byte.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import sys
@@ -26,16 +27,6 @@ from .operator import (BandOperator, NormConvergenceError, OperatorError,
 from .space import SpaceError, space_from_descriptor
 
 SCHEMA_VERSION = 1
-
-EXPERIMENT_KINDS = (
-    "localization-sweep",
-    "ghost-audit",
-    "ideal-membership",
-    "limit-operator",
-    "column-pipeline",
-    "resistance-pipeline",
-    "witness-check",
-)
 
 _SPACE_SCHEMA = {
     "oneOf": [
@@ -87,75 +78,22 @@ _OPERATOR_SCHEMA = {
     ]
 }
 
-_SEQUENCE_SCHEMA = {
-    "oneOf": [
-        {"type": "string"},
-        {"type": "array", "items": {"type": "integer"}, "minItems": 2},
-    ]
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENT_KINDS)},
-        "space": _SPACE_SCHEMA,
-        "operator": _OPERATOR_SCHEMA,
-        "output": {
-            "type": "object",
-            "properties": {"json": {"type": "string"},
-                           "csv": {"type": "string"}},
-            "required": ["json"],
-            "additionalProperties": False,
-        },
-        "audit": {"type": "boolean"},
-        "seed": {"type": "integer"},
-        "parameters": {
-            "type": "object",
-            "properties": {
-                "S_range": {"type": "array",
-                            "items": {"type": "integer", "minimum": 0},
-                            "minItems": 2, "maxItems": 2},
-                "mode": {"enum": ["two_sided", "column"]},
-                "eps_grid": {"type": "array",
-                             "items": {"type": "number",
-                                       "exclusiveMinimum": 0}},
-                "k_cap": {"type": "number", "minimum": 0},
-                "exhaustion": {"type": "array",
-                               "items": {"type": "array",
-                                         "items": {"type": "integer"}}},
-                "generators": {"type": "array",
-                               "items": {"type": "array",
-                                         "items": {"type": "integer"}}},
-                "max_union": {"type": ["integer", "null"], "minimum": 1},
-                "target_set": {"type": "array",
-                               "items": {"type": "integer"}},
-                "sequences": {"type": "array", "items": _SEQUENCE_SCHEMA},
-                "window_radius": {"type": "integer", "minimum": 1},
-                "tail": {"type": "integer", "minimum": 2},
-                "oscillation_tol": {"type": "number",
-                                    "exclusiveMinimum": 0},
-                "column_sizes": {"type": "array",
-                                 "items": {"type": "integer", "minimum": 2},
-                                 "minItems": 1},
-                "copies": {"type": "integer", "minimum": 1},
-                "degree": {"type": "integer", "minimum": 3},
-                "lam_max": {"type": "number", "exclusiveMinimum": 0},
-                "expander_sizes": {"type": "array",
-                                   "items": {"type": "integer",
-                                             "minimum": 4}},
-                "kappa": {"type": "number", "exclusiveMinimum": 0},
-                "S_schedule": {"type": "array",
-                               "items": {"type": "number", "minimum": 0}},
-                "witness_radius": {"type": "number", "minimum": 1},
-                "variation_radius": {"type": "number", "minimum": 0},
-                "assert": {"type": "object"},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["experiment", "output"],
-    "additionalProperties": False,
-}
+# parameter schemas that more than one experiment uses
+_EPS_GRID = {"type": "array", "items": {"type": "number",
+                                        "exclusiveMinimum": 0}}
+_K_CAP = {"type": "number", "minimum": 0}
+_DEGREE = {"type": "integer", "minimum": 3}
+_LAM_MAX = {"type": "number", "exclusiveMinimum": 0}
+_WINDOW_RADIUS = {"type": "integer", "minimum": 1}
+_TAIL = {"type": "integer", "minimum": 2}
+_POINT_SETS = {"type": "array",
+               "items": {"type": "array", "items": {"type": "integer"}}}
+# an audit assertion is a value to equal, or {"min": v} and/or {"max": v}
+_ASSERT = {"type": "object", "additionalProperties": {"anyOf": [
+    {"not": {"type": "object"}},
+    {"type": "object", "properties": {"min": {"type": "number"},
+                                      "max": {"type": "number"}},
+     "additionalProperties": False, "minProperties": 1}]}}
 
 
 class ConfigError(ValueError):
@@ -212,17 +150,9 @@ def random_band_operator(space, propagation, density, seed):
     return BandOperator(space, rows, cols, vals)
 
 
-def _parse_sequences(specs, limit):
-    out = []
-    for s in specs:
-        if isinstance(s, str):
-            out.append(lo.DirectionSequence.from_name(s, limit))
-        else:
-            out.append(lo.DirectionSequence(tuple(s)))
-    return out
-
-
 # -- experiment implementations ----------------------------------------------
+# Each takes the space and operator that `run` built (None where the
+# experiment reads none) and its parameters with every default filled in.
 
 def _largest_sweep_S(space, upper):
     """Largest S <= upper for which the default margin leaves a window
@@ -231,11 +161,8 @@ def _largest_sweep_S(space, upper):
                 if len(wt.default_margin(space, S)) < space.n)
 
 
-def _exp_localization_sweep(cfg):
-    space = space_from_descriptor(cfg["space"])
-    T = _build_operator(space, cfg["operator"], cfg.get("seed", 0))
-    params = cfg.get("parameters", {})
-    lo_s, hi_s = params.get("S_range", [2, _largest_sweep_S(space, 50)])
+def _exp_localization_sweep(space, T, params, seed):
+    lo_s, hi_s = params["S_range"]
     usable = _largest_sweep_S(space, hi_s)
     if usable < hi_s:
         raise ConfigError(
@@ -243,52 +170,37 @@ def _exp_localization_sweep(cfg):
             f"window centre beyond S = {usable}")
     if lo_s > hi_s:
         raise ConfigError(f"S_range [{lo_s}, {hi_s}] is empty")
-    mode = params.get("mode", "two_sided")
     rows = []
     for S in range(lo_s, hi_s + 1):
-        report = wt.localization_constant(T, S, mode=mode)
+        report = wt.localization_constant(T, S, mode=params["mode"])
         rows.append({"S": S, "constant": report.best_constant,
                      "window_norm": report.window_norm,
                      "operator_norm": report.operator_norm,
                      "center": report.witness_center})
-    return {"rows": rows, "mode": mode}, [("localization",
-                                           ["S", "constant", "window_norm",
-                                            "operator_norm", "center"],
-                                           rows)]
+    return {"rows": rows}, [("localization",
+                             ["S", "constant", "window_norm",
+                              "operator_norm", "center"], rows)]
 
 
-def _exp_ghost_audit(cfg):
-    space = space_from_descriptor(cfg["space"])
-    T = _build_operator(space, cfg["operator"], cfg.get("seed", 0))
-    params = cfg.get("parameters", {})
-    exhaustion = params.get("exhaustion")
-    if exhaustion is None:
-        # default: quartile prefixes of the id order
-        n = space.n
-        exhaustion = [list(range(int(np.ceil(n * q / 4.0))))
-                      for q in range(1, 5)]
+def _exp_ghost_audit(space, T, params, seed):
+    exhaustion = params["exhaustion"]
     profile = T.ghost_profile([set(F) for F in exhaustion])
-    eps_grid = params.get("eps_grid", list(il.DEFAULT_EPS_GRID))
     rows = [{"stage": k, "stage_size": len(exhaustion[k]),
              "profile": profile[k]} for k in range(len(profile))]
-    return ({"profile": profile, "eps_grid": eps_grid,
-             "sup_entry_norm": T.sup_entry_norm()},
+    return ({"profile": profile, "sup_entry_norm": T.sup_entry_norm()},
             [("ghost_profile", ["stage", "stage_size", "profile"], rows)])
 
 
-def _exp_ideal_membership(cfg):
-    space = space_from_descriptor(cfg["space"])
-    params = cfg.get("parameters", {})
-    gens = params.get("generators")
+def _exp_ideal_membership(space, T, params, seed):
+    gens = params["generators"]
     if not gens:
         raise ConfigError("ideal-membership needs parameters/generators")
     family = il.IdealFamily(space, tuple(frozenset(g) for g in gens),
-                            max_union=params.get("max_union"))
-    k_cap = params.get("k_cap", il.default_k_cap(space))
-    body = {"k_cap": k_cap, "max_union": family.max_union,
-            "exhaustive": family.exhaustive(k_cap)}
+                            max_union=params["max_union"])
+    k_cap = params["k_cap"]
+    body = {"exhaustive": family.exhaustive(k_cap)}
     rows = []
-    if "target_set" in params:
+    if params["target_set"] is not None:
         ok, cert = il.ideal_membership(family, set(params["target_set"]),
                                        k_cap)
         body["set_membership"] = ok
@@ -296,10 +208,9 @@ def _exp_ideal_membership(cfg):
                                {"generators": list(cert.generator_indices),
                                 "k": cert.k})
         rows.append({"query": "set", "member": int(ok)})
-    if "operator" in cfg:
-        T = _build_operator(space, cfg["operator"], cfg.get("seed", 0))
-        eps_grid = params.get("eps_grid", list(il.DEFAULT_EPS_GRID))
-        ghostly, failing = il.ghostly_membership(T, family, eps_grid, k_cap)
+    if T is not None:
+        ghostly, failing = il.ghostly_membership(T, family,
+                                                 params["eps_grid"], k_cap)
         dist = il.geometric_distance(T, family, k_cap=k_cap)
         body["ghostly"] = ghostly
         body["failing_eps"] = failing
@@ -308,20 +219,17 @@ def _exp_ideal_membership(cfg):
     return body, [("membership", ["query", "member"], rows)]
 
 
-def _exp_limit_operator(cfg):
-    space = space_from_descriptor(cfg["space"])
-    T = _build_operator(space, cfg["operator"], cfg.get("seed", 0))
-    params = cfg.get("parameters", {})
-    seqs = _parse_sequences(params.get("sequences", ["powers:2"]), space.n)
-    w = params.get("window_radius", lo.DEFAULT_WINDOW_RADIUS)
-    tail = params.get("tail", lo.DEFAULT_TAIL)
-    tol = params.get("oscillation_tol", lo.DEFAULT_OSCILLATION_TOL)
+def _exp_limit_operator(space, T, params, seed):
+    seqs = [lo.DirectionSequence.from_name(s, space.n) if isinstance(s, str)
+            else lo.DirectionSequence(tuple(s)) for s in params["sequences"]]
+    w = params["window_radius"]
     results, rows = [], []
     for i, seq in enumerate(seqs):
         seq.validate(space)
         try:
             limit, diag = lo.empirical_limit_operator(
-                T, seq, window_radius=w, tail=tail, tol=tol)
+                T, seq, window_radius=w, tail=params["tail"],
+                tol=params["oscillation_tol"])
             entry = {"sequence": i, "converged": True,
                      "max_oscillation": diag["max_oscillation"],
                      "nnz": limit.nnz,
@@ -333,22 +241,17 @@ def _exp_limit_operator(cfg):
         results.append(entry)
         rows.append({"sequence": i, "converged": int(entry["converged"]),
                      "nnz": entry.get("nnz", "")})
-    return ({"window_radius": w, "tail": tail, "tol": tol,
-             "sequences": results},
+    return ({"sequences": results},
             [("limits", ["sequence", "converged", "nnz"], rows)])
 
 
-def _exp_column_pipeline(cfg):
+def _exp_column_pipeline(space, T, params, seed):
     """Multi-column projection pipeline: a block projection that keeps a
     visible ghost profile, is ghostly for the column family, and vanishes in
     the across-columns direction but not along any fixed column."""
-    params = cfg.get("parameters", {})
-    sizes = params.get("column_sizes", [10, 20, 40])
-    copies = params.get("copies", 5)
-    degree = params.get("degree", 3)
-    lam_max = params.get("lam_max", 2.9)
-    seed = cfg.get("seed", 0)
-    graphs = tuple(ex.random_regular_expander(n, degree, lam_max,
+    sizes, copies = params["column_sizes"], params["copies"]
+    lam_max = params["lam_max"]
+    graphs = tuple(ex.random_regular_expander(n, params["degree"], lam_max,
                                               seed=seed + 97 * i)
                    for i, n in enumerate(sizes))
     family = ex.ExpanderFamily(graphs=graphs, gap_threshold=lam_max)
@@ -367,12 +270,10 @@ def _exp_column_pipeline(cfg):
     profile = P.ghost_profile(stages)
     min_proper_profile = min(profile[:-1]) if len(profile) > 1 else 0.0
 
-    eps_grid = params.get("eps_grid", list(il.DEFAULT_EPS_GRID))
-    k_cap = params.get("k_cap", min(sep) / 2.0)
-    ghostly, failing = il.ghostly_membership(P, ideal, eps_grid, k_cap)
+    ghostly, failing = il.ghostly_membership(P, ideal, params["eps_grid"],
+                                             params["k_cap"])
 
-    w = params.get("window_radius", 2)
-    tail = params.get("tail", len(sizes))
+    w, tail = params["window_radius"], params["tail"]
     # across-columns direction: one interior point per (i, i-th copy) block
     i_pts = []
     for i in range(1, len(sizes) + 1):
@@ -405,12 +306,11 @@ def _exp_column_pipeline(cfg):
                           "max_oscillation": diag["max_oscillation"]})
 
     body = {
-        "column_sizes": sizes, "copies": copies,
         "second_eigenvalues": [g.second_eigenvalue for g in graphs],
         "ghost_profile": profile,
         "min_proper_profile": min_proper_profile,
         "not_ghost_at": 1.0 / min(sizes),
-        "ghostly": ghostly, "failing_eps": failing, "k_cap": k_cap,
+        "ghostly": ghostly, "failing_eps": failing,
         "vanishes_across_columns": vanish_i,
         "across_eps": eps_i,
         "fixed_column": j_results,
@@ -427,23 +327,17 @@ def _exp_column_pipeline(cfg):
                    rows)]
 
 
-def _exp_resistance_pipeline(cfg):
-    params = cfg.get("parameters", {})
-    sizes = params.get("expander_sizes", [250, 500, 1000])
-    degree = params.get("degree", 3)
-    lam_max = params.get("lam_max", 2.9)
-    kappa = params.get("kappa", 0.3)
-    S_schedule = params.get("S_schedule", list(range(2, 2 + len(sizes))))
-    seed = cfg.get("seed", 0)
-    graphs = tuple(ex.random_regular_expander(n, degree, lam_max,
+def _exp_resistance_pipeline(space, T, params, seed):
+    sizes, lam_max = params["expander_sizes"], params["lam_max"]
+    kappa, S_schedule = params["kappa"], params["S_schedule"]
+    graphs = tuple(ex.random_regular_expander(n, params["degree"], lam_max,
                                               seed=seed + 31 * i)
                    for i, n in enumerate(sizes))
     family = ex.ExpanderFamily(graphs=graphs, gap_threshold=lam_max)
     space, blocks, certified = ex.resistance_blocks(family, kappa, S_schedule)
     norms = [operator_norm(op) for op, _ in blocks]
     ok, details = wt.resistance_check(blocks, kappa, S_schedule)
-    body = {"sizes": sizes, "kappa": kappa, "S_schedule": S_schedule,
-            "second_eigenvalues": [g.second_eigenvalue for g in graphs],
+    body = {"second_eigenvalues": [g.second_eigenvalue for g in graphs],
             "block_norms": norms, "certified_kappa": certified,
             "passed": ok, "details": details}
     rows = [{"size": n, "S": d["S"], "constant": d["constant"],
@@ -451,11 +345,8 @@ def _exp_resistance_pipeline(cfg):
     return body, [("resistance", ["size", "S", "constant", "norm"], rows)]
 
 
-def _exp_witness_check(cfg):
-    space = space_from_descriptor(cfg["space"])
-    params = cfg.get("parameters", {})
-    S = params.get("witness_radius", 5)
-    R = params.get("variation_radius", 1)
+def _exp_witness_check(space, T, params, seed):
+    S, R = params["witness_radius"], params["variation_radius"]
     margin = wt.default_margin(space, S)
     D = sorted(set(space.points) - set(margin))
     if not D:
@@ -464,8 +355,7 @@ def _exp_witness_check(cfg):
     variation, pair = wt.check_partition_witness(space, witness, R)
     kernel = wt.kernel_from_witness(witness)
     psd = wt.check_positive_type(kernel, [kernel.points])
-    body = {"S": S, "R": R, "domain_size": len(D),
-            "max_variation": variation,
+    body = {"domain_size": len(D), "max_variation": variation,
             "worst_pair": list(pair) if pair else None,
             "kernel_positive_type": psd}
     rows = [{"S": S, "R": R, "max_variation": variation,
@@ -474,45 +364,171 @@ def _exp_witness_check(cfg):
                    rows)]
 
 
+# -- the parameter table and the config schema built from it -----------------
+# Per experiment: its function, the top-level inputs it requires, those it
+# also reads, and each parameter's schema and default.  A callable default
+# is applied to (space, parameters resolved so far).  An experiment accepts
+# no other key.
+
 _EXPERIMENTS = {
-    "localization-sweep": _exp_localization_sweep,
-    "ghost-audit": _exp_ghost_audit,
-    "ideal-membership": _exp_ideal_membership,
-    "limit-operator": _exp_limit_operator,
-    "column-pipeline": _exp_column_pipeline,
-    "resistance-pipeline": _exp_resistance_pipeline,
-    "witness-check": _exp_witness_check,
+    "localization-sweep": (_exp_localization_sweep, ("space", "operator"),
+                           ("seed",), {
+        "S_range": ({"type": "array",
+                     "items": {"type": "integer", "minimum": 0},
+                     "minItems": 2, "maxItems": 2},
+                    lambda space, p: [2, _largest_sweep_S(space, 50)]),
+        "mode": ({"enum": ["two_sided", "column"]}, "two_sided"),
+    }),
+    "ghost-audit": (_exp_ghost_audit, ("space", "operator"), ("seed",), {
+        # quartile prefixes of the id order
+        "exhaustion": (_POINT_SETS, lambda space, p: [
+            list(range(int(np.ceil(space.n * q / 4.0))))
+            for q in range(1, 5)]),
+    }),
+    "ideal-membership": (_exp_ideal_membership, ("space",),
+                         ("operator", "seed"), {
+        "generators": (_POINT_SETS, None),
+        "max_union": ({"type": ["integer", "null"], "minimum": 1}, None),
+        "k_cap": (_K_CAP, lambda space, p: il.default_k_cap(space)),
+        "target_set": ({"type": "array", "items": {"type": "integer"}}, None),
+        "eps_grid": (_EPS_GRID, list(il.DEFAULT_EPS_GRID)),
+    }),
+    "limit-operator": (_exp_limit_operator, ("space", "operator"), ("seed",), {
+        "sequences": ({"type": "array", "items": {"oneOf": [
+            {"type": "string"},
+            {"type": "array", "items": {"type": "integer"}, "minItems": 2}]}},
+            ["powers:2"]),
+        "window_radius": (_WINDOW_RADIUS, lo.DEFAULT_WINDOW_RADIUS),
+        "tail": (_TAIL, lo.DEFAULT_TAIL),
+        "oscillation_tol": ({"type": "number", "exclusiveMinimum": 0},
+                            lo.DEFAULT_OSCILLATION_TOL),
+    }),
+    "column-pipeline": (_exp_column_pipeline, (), ("seed",), {
+        "column_sizes": ({"type": "array",
+                          "items": {"type": "integer", "minimum": 2},
+                          "minItems": 1}, [10, 20, 40]),
+        "copies": ({"type": "integer", "minimum": 1}, 5),
+        "degree": (_DEGREE, 3),
+        "lam_max": (_LAM_MAX, 2.9),
+        "eps_grid": (_EPS_GRID, list(il.DEFAULT_EPS_GRID)),
+        # half the smallest column separation, which is 20
+        "k_cap": (_K_CAP, 10.0),
+        "window_radius": (_WINDOW_RADIUS, 2),
+        "tail": (_TAIL, lambda space, p: len(p["column_sizes"])),
+    }),
+    "resistance-pipeline": (_exp_resistance_pipeline, (), ("seed",), {
+        "expander_sizes": ({"type": "array",
+                            "items": {"type": "integer", "minimum": 4}},
+                           [250, 500, 1000]),
+        "degree": (_DEGREE, 3),
+        "lam_max": (_LAM_MAX, 2.9),
+        "kappa": ({"type": "number", "exclusiveMinimum": 0}, 0.3),
+        "S_schedule": ({"type": "array",
+                        "items": {"type": "number", "minimum": 0}},
+                       lambda space, p: list(
+                           range(2, 2 + len(p["expander_sizes"])))),
+    }),
+    "witness-check": (_exp_witness_check, ("space",), (), {
+        "witness_radius": ({"type": "number", "minimum": 1}, 5),
+        "variation_radius": ({"type": "number", "minimum": 0}, 1),
+    }),
+}
+
+# left out of the echo: they can be as long as the space, and header.config
+# already holds them when given
+_POINT_LISTS = ("exhaustion", "generators", "target_set")
+
+
+def _accepted_keys(kind, required, optional, params):
+    """The schema branch that applies to one experiment."""
+    parameters = {key: schema for key, (schema, _) in params.items()}
+    parameters["assert"] = _ASSERT
+    accepted = dict.fromkeys(("experiment", "output", "audit") + required
+                             + optional, True)
+    accepted["parameters"] = {"type": "object", "properties": parameters,
+                              "additionalProperties": False}
+    return {"if": {"properties": {"experiment": {"const": kind}},
+                   "required": ["experiment"]},
+            "then": {"properties": accepted, "required": list(required),
+                     "additionalProperties": False}}
+
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "experiment": {"enum": list(_EXPERIMENTS)},
+        "space": _SPACE_SCHEMA,
+        "operator": _OPERATOR_SCHEMA,
+        "output": {
+            "type": "object",
+            "properties": {"json": {"type": "string"},
+                           "csv": {"type": "string"}},
+            "required": ["json"],
+            "additionalProperties": False,
+        },
+        "audit": {"type": "boolean"},
+        "seed": {"type": "integer"},
+        "parameters": {"type": "object"},
+    },
+    "required": ["experiment", "output"],
+    "allOf": [_accepted_keys(kind, *entry[1:])
+              for kind, entry in _EXPERIMENTS.items()] + [
+        # assertions are read only in audit mode
+        {"if": {"properties": {"parameters": {"required": ["assert"]}},
+                "required": ["parameters"]},
+         "then": {"properties": {"audit": {"const": True}},
+                  "required": ["audit"]}}],
 }
 
 
 def _check_assertions(body, assertions):
     """Audit mode: each assertion maps a dotted report path to an expected
-    value (scalar equality) or to {"min": v} / {"max": v} bounds."""
+    value (scalar equality) or to {"min": v} / {"max": v} bounds.  A path
+    that does not resolve, and a node that cannot be compared, fail."""
     failures = []
     for path, expect in assertions.items():
         node = body
         try:
             for part in path.split("."):
                 node = node[int(part)] if isinstance(node, list) else node[part]
-        except (KeyError, IndexError, TypeError):
+        except (KeyError, IndexError, TypeError, ValueError):
             failures.append(f"{path}: missing from report")
             continue
-        if isinstance(expect, dict):
-            if "min" in expect and not node >= expect["min"]:
-                failures.append(f"{path}: {node} < min {expect['min']}")
-            if "max" in expect and not node <= expect["max"]:
-                failures.append(f"{path}: {node} > max {expect['max']}")
-        elif node != expect:
-            failures.append(f"{path}: {node} != {expect}")
+        try:
+            if isinstance(expect, dict):
+                if "min" in expect and not node >= expect["min"]:
+                    failures.append(f"{path}: {node} < min {expect['min']}")
+                if "max" in expect and not node <= expect["max"]:
+                    failures.append(f"{path}: {node} > max {expect['max']}")
+            elif node != expect:
+                failures.append(f"{path}: {node} != {expect}")
+        except TypeError:
+            failures.append(f"{path}: {node!r} cannot be compared with "
+                            f"{expect}")
     return failures
 
 
 def run(config):
-    """Run one experiment; returns (exit status, report dict)."""
+    """Run one experiment; returns (exit status, report dict).  The space,
+    the operator and the parameters are resolved here, once; the body
+    echoes every parameter value used under `parameters`."""
     kind = config["experiment"]
-    body, tables = _EXPERIMENTS[kind](config)
-    params = config.get("parameters", {})
-    failures = _check_assertions(body, params.get("assert", {})) \
+    experiment, _, _, table = _EXPERIMENTS[kind]
+    seed = config.get("seed", 0)
+    space = (space_from_descriptor(config["space"]) if "space" in config
+             else None)
+    T = (_build_operator(space, config["operator"], seed)
+         if "operator" in config else None)
+    given = config.get("parameters", {})
+    params = {}
+    for key, (_, default) in table.items():
+        params[key] = (given[key] if key in given else
+                       default(space, params) if callable(default) else
+                       copy.deepcopy(default))
+    body, tables = experiment(space, T, params, seed)
+    body["parameters"] = {key: value for key, value in params.items()
+                          if key not in _POINT_LISTS}
+    failures = _check_assertions(body, given.get("assert", {})) \
         if config.get("audit") else []
     report = {
         "schema": SCHEMA_VERSION,
@@ -564,15 +580,8 @@ def _cmd_profile(args):
 
 
 def _cmd_run(args):
-    try:
-        config = load_config(args.config)
-        status, report = run(config)
-    except (ConfigError, SpaceError, OperatorError, NormConvergenceError,
-            wt.WitnessError, il.IdealError, lo.DirectionError,
-            ex.ExpanderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(USAGE, file=sys.stderr)
-        return 2
+    config = load_config(args.config)
+    status, report = run(config)
     n_fail = len(report["audit_failures"])
     print(f"{config['experiment']}: "
           f"{'ok' if status == 0 else f'{n_fail} audit failures'}; "
@@ -590,7 +599,8 @@ usage: roelab run CONFIG.json        batch experiment from a JSON config
 
 Config schema: {"experiment": <kind>, "output": {"json": path, "csv": path},
 "space": descriptor, "operator": descriptor, "parameters": {...},
-"audit": bool, "seed": int}.  Kinds: """ + ", ".join(EXPERIMENT_KINDS) + "."
+"audit": bool, "seed": int}.  Kinds: """ + ", ".join(_EXPERIMENTS) + """.
+Each kind accepts only the keys it reads; body.parameters echoes them."""
 
 
 def main(argv=None):
@@ -615,7 +625,14 @@ def main(argv=None):
     if args.command is None:
         print(USAGE, file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, SpaceError, OperatorError, NormConvergenceError,
+            wt.WitnessError, il.IdealError, lo.DirectionError,
+            ex.ExpanderError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(USAGE, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -48,6 +48,8 @@ class DirectionSequence:
             raise DirectionError("direction sequence needs at least 2 points")
 
     def validate(self, space, basepoint=0):
+        if not all(0 <= p < space.n for p in self.points):
+            raise DirectionError(f"point ids must lie in 0..{space.n - 1}")
         dists = [space.distance(basepoint, p) for p in self.points]
         if any(b <= a for a, b in zip(dists, dists[1:])):
             raise DirectionError(
@@ -66,20 +68,28 @@ class DirectionSequence:
 
     @classmethod
     def from_name(cls, name, limit):
-        """Named integer generators: `squares`, `powers:b`, `affine:a,b`."""
+        """Named integer generators: `squares`, `powers:b` (b >= 2),
+        `affine:a,b`."""
+        kind, _, arg = name.partition(":")
+        try:
+            args = tuple(int(t) for t in arg.split(","))
+        except ValueError:
+            args = ()
         if name == "squares":
             pts = [k * k for k in range(1, int(np.sqrt(limit)) + 1)]
-        elif name.startswith("powers:"):
-            b = int(name.split(":")[1])
+        elif kind == "powers" and len(args) == 1:
+            b, = args
+            if b < 2:
+                raise DirectionError(f"{name!r}: the base must be at least 2")
             pts, v = [], b
             while v < limit:
                 pts.append(v)
                 v *= b
-        elif name.startswith("affine:"):
-            a, b = (int(t) for t in name.split(":")[1].split(","))
+        elif kind == "affine" and len(args) == 2:
+            a, b = args
             pts = [a * k + b for k in range(limit) if 0 <= a * k + b < limit]
         else:
-            raise DirectionError(f"unknown sequence generator {name!r}")
+            raise DirectionError(f"unknown or malformed sequence {name!r}")
         return cls(tuple(pts))
 
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from roelab.cli import (
     random_band_operator,
     run,
 )
+from roelab.ideals import DEFAULT_EPS_GRID
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -54,6 +57,168 @@ class TestConfigValidation:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(path))
+
+
+def path_space(side):
+    return {"type": "grid", "dims": 1, "side": side, "metric": "graph"}
+
+
+# a valid minimal config of each experiment, without output
+MINIMAL = {
+    "localization-sweep": {"space": path_space(20),
+                           "operator": {"kind": "shift"}},
+    "ghost-audit": {"space": path_space(20), "operator": {"kind": "shift"}},
+    "ideal-membership": {"space": path_space(20),
+                         "parameters": {"generators": [[0, 1]]}},
+    "limit-operator": {"space": path_space(20),
+                       "operator": {"kind": "shift"}},
+    "column-pipeline": {},
+    "resistance-pipeline": {},
+    "witness-check": {"space": path_space(20)},
+}
+
+
+def minimal(kind, parameters=None, **top):
+    cfg = {"experiment": kind, "output": {"json": "x"}, **MINIMAL[kind], **top}
+    if parameters:
+        cfg["parameters"] = dict(cfg.get("parameters", {}), **parameters)
+    return cfg
+
+
+class TestAcceptedKeys:
+    """Each experiment accepts only the inputs and parameters it reads."""
+
+    def test_sweep_with_keys_of_other_experiments_exits_2(self, tmp_path,
+                                                           capsys):
+        cfg = minimal("localization-sweep",
+                      {"kappa": 0.3, "column_sizes": [10, 20], "k_cap": 3},
+                      output=base_output(tmp_path))
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("kappa", "column_sizes", "k_cap"))
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("kind", sorted(MINIMAL))
+    def test_minimal_configs_load(self, tmp_path, kind):
+        load_config(write_config(tmp_path, minimal(kind)))
+
+    @pytest.mark.parametrize("kind, parameters, top, key", [
+        ("localization-sweep", {"kappa": 0.3}, {}, "kappa"),
+        ("ghost-audit", {"eps_grid": [0.5]}, {}, "eps_grid"),
+        ("ideal-membership", {"window_radius": 2}, {}, "window_radius"),
+        ("limit-operator", {"k_cap": 3}, {}, "k_cap"),
+        ("column-pipeline", {"expander_sizes": [10]}, {}, "expander_sizes"),
+        ("column-pipeline", {}, {"space": path_space(20)}, "space"),
+        ("resistance-pipeline", {"copies": 2}, {}, "copies"),
+        ("resistance-pipeline", {}, {"operator": {"kind": "shift"}},
+         "operator"),
+        ("witness-check", {"mode": "column"}, {}, "mode"),
+        ("witness-check", {}, {"operator": {"kind": "shift"}}, "operator"),
+        ("witness-check", {}, {"seed": 1}, "seed"),
+    ])
+    def test_unread_key_rejected(self, tmp_path, kind, parameters, top, key):
+        cfg = minimal(kind, parameters, **top)
+        with pytest.raises(ConfigError, match=f"'{key}' was unexpected"):
+            load_config(write_config(tmp_path, cfg))
+
+    @pytest.mark.parametrize("kind, missing", [
+        ("localization-sweep", "space"),
+        ("localization-sweep", "operator"),
+        ("ghost-audit", "operator"),
+        ("ideal-membership", "space"),
+        ("limit-operator", "space"),
+        ("witness-check", "space"),
+    ])
+    def test_missing_input_exits_2(self, tmp_path, capsys, kind, missing):
+        cfg = minimal(kind, output=base_output(tmp_path))
+        del cfg[missing]
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{missing}' is a required property" in err and "usage" in err
+
+    @pytest.mark.parametrize("audit", [{}, {"audit": False}])
+    def test_assert_needs_audit(self, tmp_path, audit):
+        cfg = minimal("witness-check", {"assert": {"domain_size": 10}},
+                      **audit)
+        with pytest.raises(ConfigError, match="audit"):
+            load_config(write_config(tmp_path, cfg))
+
+    @pytest.mark.parametrize("expect, ok", [
+        ({"mni": 5}, False), ({}, False), ({"min": "a"}, False),
+        ({"min": 1, "max": 2, "eq": 3}, False),
+        ({"min": 1}, True), ({"min": 1, "max": 2.5}, True), (3, True),
+        ("two_sided", True), ([1, 2], True), (None, True),
+    ])
+    def test_assert_value_schema(self, tmp_path, expect, ok):
+        cfg = minimal("witness-check", {"assert": {"max_variation": expect}},
+                      audit=True)
+        path = write_config(tmp_path, cfg)
+        if ok:
+            load_config(path)
+        else:
+            with pytest.raises(ConfigError, match="parameters/assert"):
+                load_config(path)
+
+    def test_readme_configs_validate(self, tmp_path):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+        assert blocks
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme_{i}.json"
+            path.write_text(block)
+            load_config(str(path))
+
+
+# a default run of each experiment: the parameters its body echoes (point
+# lists excepted), with the values the experiments used before the echo
+# existed, and the body's other keys
+ECHO_CASES = [
+    ({"experiment": "localization-sweep", "space": path_space(60),
+      "operator": {"kind": "adjacency"}},
+     {"S_range": [2, 29], "mode": "two_sided"}, {"rows"}),
+    ({"experiment": "ghost-audit", "space": path_space(40),
+      "operator": {"kind": "random-band"}},
+     {}, {"profile", "sup_entry_norm"}),
+    ({"experiment": "ideal-membership", "space": path_space(50),
+      "parameters": {"generators": [list(range(10))]}},
+     {"max_union": None, "k_cap": 12.25,
+      "eps_grid": list(DEFAULT_EPS_GRID)}, {"exhaustive"}),
+    ({"experiment": "limit-operator", "space": path_space(2100),
+      "operator": {"kind": "shift"}},
+     {"sequences": ["powers:2"], "window_radius": 10, "tail": 8,
+      "oscillation_tol": 1e-9}, {"sequences"}),
+    ({"experiment": "column-pipeline"},
+     {"column_sizes": [10, 20, 40], "copies": 5, "degree": 3,
+      "lam_max": 2.9, "eps_grid": list(DEFAULT_EPS_GRID), "k_cap": 10.0,
+      "window_radius": 2, "tail": 3},
+     {"second_eigenvalues", "ghost_profile", "min_proper_profile",
+      "not_ghost_at", "ghostly", "failing_eps", "vanishes_across_columns",
+      "across_eps", "fixed_column", "certified_triple"}),
+    ({"experiment": "resistance-pipeline"},
+     {"expander_sizes": [250, 500, 1000], "degree": 3, "lam_max": 2.9,
+      "kappa": 0.3, "S_schedule": [2, 3, 4]},
+     {"second_eigenvalues", "block_norms", "certified_kappa", "passed",
+      "details"}),
+    ({"experiment": "witness-check", "space": path_space(30)},
+     {"witness_radius": 5, "variation_radius": 1},
+     {"domain_size", "max_variation", "worst_pair",
+      "kernel_positive_type"}),
+]
+
+
+class TestParameterEcho:
+    @pytest.mark.parametrize("cfg, echo, other_keys", ECHO_CASES,
+                             ids=[c[0]["experiment"] for c in ECHO_CASES])
+    def test_default_run_echoes_its_parameters(self, tmp_path, cfg, echo,
+                                               other_keys):
+        cfg = dict(cfg, output=base_output(tmp_path))
+        load_config(write_config(tmp_path, cfg))
+        status, report = run(cfg)
+        assert status == 0
+        assert report["body"]["parameters"] == echo
+        assert set(report["body"]) == other_keys | {"parameters"}
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["body"]["parameters"] == echo
 
 
 class TestLocalizationSweep:
@@ -179,6 +344,12 @@ class TestRunValidationErrors:
              "operator": {"kind": "shift"},
              "parameters": {"S_range": [5, 3]}},
             "S_range [5, 3] is empty", id="sweep-reversed-range"),
+        # base 1 never reaches the end of the space
+        pytest.param(
+            {"experiment": "limit-operator", "space": path_space(100),
+             "operator": {"kind": "shift"},
+             "parameters": {"sequences": ["powers:1"]}},
+            "the base must be at least 2", id="limit-operator-powers-1"),
         # ids 10..19 would alias ids on the 10-point grid
         pytest.param(shift20_on_10_points, "point ids must lie in 0..9",
                      id="file-operator-ids-out-of-range"),
@@ -297,6 +468,28 @@ class TestExperiments:
         assert status == 1
         assert report["audit_failures"]
 
+    @pytest.mark.parametrize("cfg, assertions, failures", [
+        # a list indexed by name, next to two assertions that hold
+        ({"experiment": "localization-sweep", "space": path_space(30),
+          "operator": {"kind": "adjacency"},
+          "parameters": {"S_range": [2, 3]}},
+         {"rows.S": {"min": 0}, "rows.0.S": 2, "parameters.mode": "two_sided"},
+         ["rows.S: missing from report"]),
+        # no cover within k_cap, so the certificate is null
+        ({"experiment": "ideal-membership", "space": path_space(20),
+          "parameters": {"generators": [[0, 1]], "target_set": [15],
+                         "k_cap": 1}},
+         {"certificate": {"min": 0}},
+         ["certificate: None cannot be compared with {'min': 0}"]),
+    ], ids=["name-index", "null-node"])
+    def test_unresolved_or_incomparable_assertion_fails(
+            self, tmp_path, cfg, assertions, failures):
+        cfg = dict(cfg, audit=True, output=base_output(tmp_path))
+        cfg["parameters"] = dict(cfg["parameters"], **{"assert": assertions})
+        assert main(["run", write_config(tmp_path, cfg)]) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["audit_failures"] == failures
+
 
 def assert_same_entries(got, ref):
     for a, b in ((got.rows, ref.rows), (got.cols, ref.cols),
@@ -363,6 +556,27 @@ class TestOneShots:
         assert main(["profile", str(space_path), "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["0 1", "1 3", "2 5"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["truncate", "{tmp}/op.txt", "-1", "{tmp}/out.txt"],
+         "threshold must be positive"),
+        (["norm", "{tmp}/missing.txt"], "No such file"),
+        (["norm", "{tmp}/garbage.txt"], "Expecting value"),
+        (["profile", "{tmp}/side0.json", "2"], "must be positive"),
+        (["profile", "{tmp}/garbage.txt", "2"], "Expecting value"),
+        (["run", "{tmp}/missing.json"], "cannot read config"),
+    ], ids=["truncate", "norm-missing", "norm-garbage", "profile-side-0",
+            "profile-garbage", "run"])
+    def test_errors_exit_2(self, tmp_path, capsys, argv, message):
+        T = BandOperator.from_entries(build_grid_space(1, 5, "graph"),
+                                      {(0, 0): 2.0})
+        T.serialize(str(tmp_path / "op.txt"))
+        (tmp_path / "side0.json").write_text(
+            json.dumps(dict(path_space(5), side=0)))
+        (tmp_path / "garbage.txt").write_text("garbage line\n")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err and "usage" in err
 
     def test_run_subcommand_end_to_end(self, tmp_path, capsys):
         cfg = {

@@ -55,6 +55,23 @@ class TestDirectionSequence:
         af = DirectionSequence.from_name("affine:7,3", 40)
         assert af.points == (3, 10, 17, 24, 31, 38)
 
+    @pytest.mark.parametrize("name, message", [
+        ("powers:1", "at least 2"), ("powers:0", "at least 2"),
+        ("powers:-1", "at least 2"), ("powers:", "malformed"),
+        ("powers:x", "malformed"), ("affine:1", "malformed"),
+        ("cubes", "unknown"),
+    ])
+    def test_bad_names_rejected(self, name, message):
+        with pytest.raises(DirectionError, match=message):
+            DirectionSequence.from_name(name, 100)
+
+    @pytest.mark.parametrize("points", [(-90, 20, 40), (10, 20, 150)])
+    def test_ids_outside_the_space_rejected(self, points):
+        # -90 would wrap around to point 10 of the 100-point path
+        with pytest.raises(DirectionError, match=r"0\.\.99"):
+            DirectionSequence(points).validate(
+                build_grid_space(1, 100, "graph"))
+
     def test_spreading_certificate(self, line):
         assert DirectionSequence.from_name("squares", 4000) \
             .has_spreading_certificate(line)
