@@ -14,16 +14,13 @@ from .space import (
     decompose_entourage,
     entourage,
     neighbourhood,
-    read_edge_list,
     space_from_descriptor,
-    write_edge_list,
 )
 from .operator import (
     BandOperator,
     NormConvergenceError,
     OperatorError,
     dense_norm,
-    is_ghost_at,
     operator_norm,
     power_iteration_norm,
     schur_norm_bound,
@@ -39,7 +36,6 @@ from .ideals import (
     geometric_distance,
     ghostly_membership,
     ideal_membership,
-    principal_direction_family,
     spatial_ideal,
 )
 from .witness import (
@@ -50,7 +46,6 @@ from .witness import (
     averaging_witness_grid,
     check_partition_witness,
     check_positive_type,
-    delta_witness,
     kernel_from_witness,
     localization_constant,
     resistance_check,

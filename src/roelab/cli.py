@@ -192,6 +192,8 @@ def _exp_ghost_audit(space, T, params, seed):
 
 
 def _exp_ideal_membership(space, T, params, seed):
+    if T is None:
+        del params["eps_grid"]  # only the ghostly query reads it
     gens = params["generators"]
     if not gens:
         raise ConfigError("ideal-membership needs parameters/generators")
@@ -281,9 +283,8 @@ def _exp_column_pipeline(space, T, params, seed):
         i_pts.append(blk[len(blk) // 2])
     extra = copies - len(sizes)
     for j in range(len(sizes) + 1, len(sizes) + extra + 1):
-        if j <= copies:
-            blk = col.block_points(len(sizes), j)
-            i_pts.append(blk[len(blk) // 2])
+        blk = col.block_points(len(sizes), j)
+        i_pts.append(blk[len(blk) // 2])
     i_seq = lo.DirectionSequence(tuple(i_pts)).validate(space)
     eps_i = 1.5 / min(sizes[-1], sizes[-2]) if len(sizes) > 1 else 0.05
     vanish_i = lo.vanishing_in_direction(P, i_seq, window_radius=w,
@@ -473,6 +474,12 @@ CONFIG_SCHEMA = {
     "required": ["experiment", "output"],
     "allOf": [_accepted_keys(kind, *entry[1:])
               for kind, entry in _EXPERIMENTS.items()] + [
+        # only ideal-membership's ghostly query, which needs an operator,
+        # reads eps_grid
+        {"if": {"properties": {"experiment": {"const": "ideal-membership"}},
+                "required": ["experiment"], "not": {"required": ["operator"]}},
+         "then": {"properties": {"parameters": {
+             "propertyNames": {"not": {"const": "eps_grid"}}}}}},
         # assertions are read only in audit mode
         {"if": {"properties": {"parameters": {"required": ["assert"]}},
                 "required": ["parameters"]},

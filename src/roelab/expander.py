@@ -13,7 +13,7 @@ from scipy.sparse import csr_matrix
 
 from .ideals import IdealFamily
 from .operator import BandOperator
-from .space import GraphSpace, SpaceError
+from .space import GraphSpace
 
 
 class ExpanderError(ValueError):
@@ -175,9 +175,6 @@ class ColumnSpace:
     space: GraphSpace
     blocks: tuple       # tuple of (i, j, point tuple)
     columns: tuple      # tuple of point frozensets, one per i
-
-    def column(self, i):
-        return self.columns[i - 1]
 
     def block_points(self, i, j):
         for bi, bj, pts in self.blocks:

@@ -153,22 +153,6 @@ def ideal_membership(family, Z, k_cap):
     return False, None
 
 
-def principal_direction_family(T, eps_grid=DEFAULT_EPS_GRID):
-    """Family generated by the row projections of the threshold supports of
-    T, one generator per threshold (deduplicated)."""
-    if not eps_grid:
-        raise IdealError("threshold grid must be nonempty")
-    gens, seen = [], set()
-    for eps in eps_grid:
-        g = frozenset(T.epsilon_rows(eps))
-        if g and g not in seen:
-            seen.add(g)
-            gens.append(g)
-    if not gens:
-        gens = [frozenset()]
-    return IdealFamily(T.space, tuple(gens))
-
-
 def ghostly_membership(T, family, eps_grid=DEFAULT_EPS_GRID, k_cap=None):
     """T is ghostly for the family when the row projection of its
     eps-support is covered at every threshold of the grid.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import BandOperator
-from .space import GridSpace, build_grid_space
+from .space import build_grid_space
 
 DEFAULT_TAIL = 8
 DEFAULT_WINDOW_RADIUS = 10
@@ -56,16 +56,6 @@ class DirectionSequence:
                 "distances from the basepoint must strictly increase")
         return self
 
-    def gaps(self, space):
-        return [space.distance(a, b)
-                for a, b in zip(self.points, self.points[1:])]
-
-    def has_spreading_certificate(self, space):
-        """Successive gaps non-decreasing: the finite form of pairwise
-        distances growing with the index sum."""
-        g = self.gaps(space)
-        return all(b >= a for a, b in zip(g, g[1:]))
-
     @classmethod
     def from_name(cls, name, limit):
         """Named integer generators: `squares`, `powers:b` (b >= 2),
@@ -94,7 +84,8 @@ class DirectionSequence:
 
 
 def _window_values(T, seq, window_radius, tail):
-    """values[(i, j)] = array of T(h + i, h + j) over the last `tail` terms."""
+    """vals[i + w, j + w, t] = T(h_t + i, h_t + j) over the last `tail`
+    terms h_t, an array of shape (2w + 1, 2w + 1, tail)."""
     if tail < 2:
         raise DirectionError("tail must have at least 2 terms")
     if len(seq.points) < tail:
@@ -109,10 +100,13 @@ def _window_values(T, seq, window_radius, tail):
                 f"tail point {h} is within {w} of the id boundary")
     offs = np.arange(-w, w + 1)
     terms = np.asarray(terms)
-    # vals[i + w, j + w, t] = T(h_t + i, h_t + j)
-    vals = T.values_at(terms + offs[:, None, None], terms + offs[:, None])
-    return {(i, j): vals[i + w, j + w] for i in range(-w, w + 1)
-            for j in range(-w, w + 1)}
+    return T.values_at(terms + offs[:, None, None], terms + offs[:, None])
+
+
+def _oscillation(vals):
+    """Largest |T(h_s + i, h_s + j) - T(h_t + i, h_t + j)| over pairs of tail
+    terms, per window entry."""
+    return np.abs(vals[..., :, None] - vals[..., None, :]).max(axis=(-2, -1))
 
 
 def empirical_limit_operator(T, seq, window_radius=DEFAULT_WINDOW_RADIUS,
@@ -122,41 +116,29 @@ def empirical_limit_operator(T, seq, window_radius=DEFAULT_WINDOW_RADIUS,
 
     Returns (limit, diagnostics) where limit is a band operator on a fresh
     1-d window space whose id w + i stands for offset i, and diagnostics
-    maps each offset pair to its oscillation.  Raises NoEmpiricalLimit when
-    any entry oscillates beyond `tol`.
+    holds the largest oscillation of an entry.  Raises NoEmpiricalLimit
+    when any entry oscillates beyond `tol`.
     """
-    values = _window_values(T, seq, window_radius, tail)
+    vals = _window_values(T, seq, window_radius, tail)
     w = int(window_radius)
-    oscillation = {}
-    offenders = set()
-    entries = {}
-    for (i, j), vals in values.items():
-        osc = float(np.abs(vals[:, None] - vals[None, :]).max())
-        oscillation[(i, j)] = osc
-        if osc > tol:
-            offenders.add((i, j))
-        entries[(i + w, j + w)] = vals[-1]
+    oscillation = _oscillation(vals)
+    offenders = {(int(i) - w, int(j) - w)
+                 for i, j in np.argwhere(oscillation > tol)}
     if offenders:
         raise NoEmpiricalLimit(offenders)
-    window_space = build_grid_space(1, 2 * w + 1, "graph")
-    limit = BandOperator.from_entries(window_space, entries)
-    diagnostics = {"oscillation": oscillation,
-                   "max_oscillation": max(oscillation.values()),
-                   "tail": tail, "window_radius": w}
-    return limit, diagnostics
+    m = 2 * w + 1
+    rows, cols = np.divmod(np.arange(m * m), m)
+    limit = BandOperator(build_grid_space(1, m, "graph"), rows, cols,
+                         vals[..., -1].ravel())
+    return limit, {"max_oscillation": float(oscillation.max())}
 
 
 def vanishing_in_direction(T, seq, window_radius=DEFAULT_WINDOW_RADIUS,
                            tail=DEFAULT_TAIL, eps=2.0 ** -12):
     """True when every window entry along the tail stays below eps in
     modulus and oscillates less than eps."""
-    values = _window_values(T, seq, window_radius, tail)
-    for vals in values.values():
-        if np.abs(vals).max() >= eps:
-            return False
-        if np.abs(vals[:, None] - vals[None, :]).max() >= eps:
-            return False
-    return True
+    vals = _window_values(T, seq, window_radius, tail)
+    return bool(np.abs(vals).max() < eps and _oscillation(vals).max() < eps)
 
 
 def cross_validate_ghostly(T, family, seqs, eps_grid=None, k_cap=None,
@@ -198,11 +180,17 @@ def cross_validate_ghostly(T, family, seqs, eps_grid=None, k_cap=None,
     }
 
 
-def translate_intersection(H, g, bound):
-    """{h in H : h - g in H}, for H a set of integers within [0, bound]."""
+def _bounded_set(H, bound):
+    """H as a set of ints, refused unless it lies within [0, bound]."""
     H = set(int(h) for h in H)
     if any(h < 0 or h > bound for h in H):
         raise DirectionError("set escapes the stated bound")
+    return H
+
+
+def translate_intersection(H, g, bound):
+    """{h in H : h - g in H}, for H a set of integers within [0, bound]."""
+    H = _bounded_set(H, bound)
     return {h for h in H if h - g in H}
 
 
@@ -217,8 +205,9 @@ def sparsity_certificate(H):
 def build_disjoint_translates(H, n_max, bound):
     """Pairs (g_n, B_n) with g_n = n and B_n = H minus the union of the
     back-translates H - g_1, ..., H - g_n; the shifted sets B_n + g_n are
-    pairwise disjoint, which the construction audits before returning."""
-    H = set(int(h) for h in H)
+    pairwise disjoint, which the construction audits before returning.  H
+    must lie within [0, bound]."""
+    H = _bounded_set(H, bound)
     if not sparsity_certificate(H):
         raise DirectionError(
             "sparsity certificate failed; construction refused")

@@ -268,11 +268,6 @@ class BandOperator:
         return cls(space, rows, cols, vals)
 
 
-def is_ghost_at(profile, eps, k):
-    """Ghost at scale (eps, k): profile value at stage k is below eps."""
-    return profile[k] < eps
-
-
 def schur_norm_bound(T):
     """sqrt(max row sum * max col sum) of |entries|; an upper norm bound."""
     if T.is_zero():

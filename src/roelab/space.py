@@ -10,9 +10,8 @@ entourage membership never flickers at a boundary.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -79,30 +78,6 @@ class CoarseSpace:
 
     def descriptor(self):
         raise NotImplementedError
-
-    def to_json(self):
-        return json.dumps(self.descriptor(), sort_keys=True)
-
-    def check_triangle(self, samples=2000, seed=0):
-        """Exhaustive triple check for small spaces, random triples above;
-        returns the first violating triple (x, y, z) in the order checked."""
-        n = self.n
-        if n <= 500 and n ** 3 <= 5 * 10 ** 6:
-            d = self.pair_distances(*np.divmod(np.arange(n * n), n))
-            d = d.reshape(n, n)
-            for x in range(n):
-                # bad[y, z]: d(x, z) > d(x, y) + d(y, z)
-                bad = d[x][None, :] > d[x][:, None] + d
-                if bad.any():
-                    return False, (x, *divmod(int(bad.argmax()), n))
-            return True, None
-        x, y, z = np.random.default_rng(seed).integers(0, n, (samples, 3)).T
-        bad = (self.pair_distances(x, z)
-               > self.pair_distances(x, y) + self.pair_distances(y, z))
-        if bad.any():
-            i = int(bad.argmax())
-            return False, (int(x[i]), int(y[i]), int(z[i]))
-        return True, None
 
 
 class GridSpace(CoarseSpace):
@@ -237,7 +212,6 @@ class GraphSpace(CoarseSpace):
             mask = labels[:, None] != labels[None, :]
             dist = np.where(mask, cross, dist)
         self._dist = dist
-        self._labels = labels
         self.edges = tuple(sorted({(min(u, v), max(u, v)) for u, v in edges}))
         self.separation_schedule = (tuple(separation_schedule)
                                     if separation_schedule else None)
@@ -266,9 +240,6 @@ class GraphSpace(CoarseSpace):
     def diameter(self):
         return float(self._dist.max())
 
-    def component_of(self, x):
-        return int(self._labels[x])
-
     def descriptor(self):
         return {"type": "graph", "n": self.n,
                 "edges": [list(e) for e in self.edges],
@@ -292,25 +263,6 @@ def space_from_descriptor(desc):
         return GraphSpace(desc["edges"], n=desc.get("n"),
                           separation_schedule=desc.get("separation_schedule"))
     raise SpaceError(f"unknown space descriptor type {desc['type']!r}")
-
-
-def read_edge_list(path):
-    """Edge-list text file, one `u v` pair per line, 0-based ids."""
-    edges = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
-    return edges
-
-
-def write_edge_list(path, edges):
-    with open(path, "w") as fh:
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
 
 
 def neighbourhood(space, A, R):

@@ -3,11 +3,12 @@ windowed operator-norm localization search."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .operator import OperatorError, operator_norm
+from .operator import operator_norm
 from .space import GridSpace
 
 L1_NORMALIZATION_TOL = 1e-12
@@ -33,26 +34,32 @@ class WitnessError(ValueError):
 @dataclass(frozen=True)
 class WitnessFunction:
     """Family of non-negative unit ell^1 vectors xi_x, one per domain point,
-    each supported within distance `support_radius` of its anchor."""
+    each supported within distance `support_radius` of its anchor.  Row i of
+    the CSR `matrix` (one column per point of the space) is xi at domain[i];
+    `domain` is a sorted id array."""
 
-    domain: tuple
-    vectors: dict  # x -> {point: weight}
+    domain: np.ndarray
+    matrix: csr_matrix
     support_radius: float
 
     def validate(self, space):
-        if not self.domain:
+        """Row masses, signs and supports, each checked in one pass."""
+        domain, W = self.domain, self.matrix
+        if not len(domain):
             raise WitnessError("empty witness domain")
-        for x in self.domain:
-            vec = self.vectors[x]
-            total = sum(vec.values())
-            if abs(total - 1.0) > L1_NORMALIZATION_TOL:
-                raise WitnessError(f"vector at {x} has l1 mass {total}")
-            if any(w < 0 for w in vec.values()):
-                raise WitnessError(f"vector at {x} has negative weights")
-            ball = set(space.ball(x, self.support_radius))
-            if not set(vec) <= ball:
-                raise WitnessError(
-                    f"vector at {x} escapes its support ball")
+        mass = W.sum(axis=1).A1
+        bad = np.abs(mass - 1.0) > L1_NORMALIZATION_TOL
+        if bad.any():
+            x, total = domain[bad.argmax()], mass[bad.argmax()]
+            raise WitnessError(f"vector at {x} has l1 mass {total}")
+        anchors = domain[np.repeat(np.arange(len(domain)), np.diff(W.indptr))]
+        if (W.data < 0).any():
+            x = anchors[(W.data < 0).argmax()]
+            raise WitnessError(f"vector at {x} has negative weights")
+        far = space.pair_distances(anchors, W.indices) > self.support_radius
+        if far.any():
+            raise WitnessError(
+                f"vector at {anchors[far.argmax()]} escapes its support ball")
         return self
 
 
@@ -60,10 +67,6 @@ class WitnessFunction:
 class Kernel:
     points: tuple
     matrix: np.ndarray
-
-    def value(self, x, y):
-        idx = {p: i for i, p in enumerate(self.points)}
-        return float(self.matrix[idx[x], idx[y]])
 
 
 @dataclass(frozen=True)
@@ -82,54 +85,55 @@ def averaging_witness_grid(space, D, S):
     """xi_x = normalized characteristic function of B(x, S)."""
     if S < 1:
         raise WitnessError("averaging radius must be at least 1")
-    vectors = {}
-    for x in D:
-        ball = space.ball(x, S)
-        w = 1.0 / len(ball)
-        vectors[x] = {p: w for p in ball}
-    return WitnessFunction(tuple(sorted(D)), vectors, S)
-
-
-def delta_witness(space, D):
-    """Point masses; the zero-quality baseline."""
-    return WitnessFunction(tuple(sorted(D)), {x: {x: 1.0} for x in D}, 0)
-
-
-def l1_difference(u, v):
-    keys = set(u) | set(v)
-    return sum(abs(u.get(k, 0.0) - v.get(k, 0.0)) for k in keys)
+    domain = np.unique(np.asarray(D, dtype=np.int64))
+    rows, cols = space.pairs_within(S)
+    in_domain = np.zeros(space.n, dtype=bool)
+    in_domain[domain] = True
+    keep = in_domain[rows]
+    # the pairs come in lexicographic order, so the kept ones are CSR rows
+    sizes = np.bincount(np.searchsorted(domain, rows[keep]),
+                        minlength=len(domain))
+    W = csr_matrix((np.repeat(1.0 / sizes, sizes), cols[keep],
+                    np.concatenate(([0], np.cumsum(sizes)))),
+                   shape=(len(domain), space.n))
+    return WitnessFunction(domain, W, S)
 
 
 def check_partition_witness(space, witness, R):
     """Max of ||xi_x - xi_y||_1 over domain pairs at distance <= R, and the
-    first pair x < y, in lexicographic order, achieving it."""
+    first pair x < y, in lexicographic order, within WINDOW_TIE_RTOL of it
+    (None when the max is 0).  The difference rows are formed in stacks of
+    at most WINDOW_BATCH_ELEMENTS stored entries."""
     witness.validate(space)
-    domain = np.zeros(space.n, dtype=bool)
-    domain[list(witness.domain)] = True
+    W = witness.matrix
+    row_of = np.full(space.n, -1)
+    row_of[witness.domain] = np.arange(len(witness.domain))
     rows, cols = space.pairs_within(R)
-    keep = (rows < cols) & domain[rows] & domain[cols]
-    worst, worst_pair = 0.0, None
-    for x, y in zip(rows[keep].tolist(), cols[keep].tolist()):
-        var = l1_difference(witness.vectors[x], witness.vectors[y])
-        if var > worst:
-            worst, worst_pair = var, (x, y)
-    return worst, worst_pair
+    keep = (rows < cols) & (row_of[rows] >= 0) & (row_of[cols] >= 0)
+    rows, cols = rows[keep], cols[keep]
+    a, b = row_of[rows], row_of[cols]
+    # each difference row stores at most twice the longest witness row
+    step = max(1, WINDOW_BATCH_ELEMENTS // (2 * np.diff(W.indptr).max()))
+    variation = np.empty(len(a))
+    for lo in range(0, len(a), step):
+        hi = lo + step
+        variation[lo:hi] = abs(W[a[lo:hi]] - W[b[lo:hi]]).sum(axis=1).A1
+    worst = float(variation.max()) if variation.size else 0.0
+    if worst == 0.0:
+        return 0.0, None
+    first = int(np.argmax(variation >= worst * (1.0 - WINDOW_TIE_RTOL)))
+    return worst, (int(rows[first]), int(cols[first]))
 
 
-def kernel_from_witness(witness, space=None):
-    """Gram kernel of the square-rooted witness vectors.
+def kernel_from_witness(witness):
+    """Gram kernel sqrt(W) sqrt(W)^T of the square-rooted witness vectors.
 
     The square root carries unit ell^1 vectors to unit ell^2 vectors, so
     k(x, x) = 1, k is symmetric, and k vanishes beyond twice the support
     radius."""
-    domain = witness.domain
-    support = sorted({p for x in domain for p in witness.vectors[x]})
-    idx = {p: i for i, p in enumerate(support)}
-    V = np.zeros((len(domain), len(support)))
-    for i, x in enumerate(domain):
-        for p, w in witness.vectors[x].items():
-            V[i, idx[p]] = np.sqrt(w)
-    return Kernel(points=tuple(domain), matrix=V @ V.T)
+    V = witness.matrix.sqrt()
+    return Kernel(points=tuple(witness.domain.tolist()),
+                  matrix=(V @ V.T).toarray())
 
 
 def check_positive_type(kernel, subsets):

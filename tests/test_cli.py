@@ -121,6 +121,24 @@ class TestAcceptedKeys:
         with pytest.raises(ConfigError, match=f"'{key}' was unexpected"):
             load_config(write_config(tmp_path, cfg))
 
+    def test_eps_grid_without_operator_exits_2(self, tmp_path, capsys):
+        # only the ghostly query, which needs an operator, reads eps_grid
+        cfg = minimal("ideal-membership", {"eps_grid": [0.5]},
+                      output=base_output(tmp_path))
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        assert "'eps_grid'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_eps_grid_with_operator_is_read_and_echoed(self, tmp_path):
+        cfg = minimal("ideal-membership", {"eps_grid": [0.5]},
+                      operator={"kind": "shift"},
+                      output=base_output(tmp_path))
+        load_config(write_config(tmp_path, cfg))
+        status, report = run(cfg)
+        assert status == 0
+        assert report["body"]["parameters"]["eps_grid"] == [0.5]
+        assert "ghostly" in report["body"]
+
     @pytest.mark.parametrize("kind, missing", [
         ("localization-sweep", "space"),
         ("localization-sweep", "operator"),
@@ -181,8 +199,7 @@ ECHO_CASES = [
      {}, {"profile", "sup_entry_norm"}),
     ({"experiment": "ideal-membership", "space": path_space(50),
       "parameters": {"generators": [list(range(10))]}},
-     {"max_union": None, "k_cap": 12.25,
-      "eps_grid": list(DEFAULT_EPS_GRID)}, {"exhaustive"}),
+     {"max_union": None, "k_cap": 12.25}, {"exhaustive"}),
     ({"experiment": "limit-operator", "space": path_space(2100),
       "operator": {"kind": "shift"}},
      {"sequences": ["powers:2"], "window_radius": 10, "tail": 8,
@@ -552,7 +569,7 @@ class TestOneShots:
     def test_profile(self, tmp_path, capsys):
         sp = build_grid_space(1, 30, "graph")
         space_path = tmp_path / "space.json"
-        space_path.write_text(sp.to_json())
+        space_path.write_text(json.dumps(sp.descriptor()))
         assert main(["profile", str(space_path), "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["0 1", "1 3", "2 5"]

@@ -19,7 +19,6 @@ from roelab import (
     ghostly_membership,
     ideal_membership,
     neighbourhood,
-    principal_direction_family,
     spatial_ideal,
 )
 from roelab.cli import random_band_operator
@@ -125,21 +124,6 @@ class TestSpatialIdeal:
         fam = spatial_ideal(sp, {0, 1})
         ok, _ = ideal_membership(fam, {2, 3}, k_cap=10)
         assert not ok
-
-
-class TestPrincipalFamily:
-    def test_identity_generates_full_space(self):
-        sp = build_grid_space(1, 25, "graph")
-        fam = principal_direction_family(BandOperator.identity(sp))
-        assert frozenset(sp.points) in fam.generators
-
-    def test_block_supported(self):
-        sp = build_grid_space(1, 25, "graph")
-        B = range(5, 10)
-        T = BandOperator.from_entries(
-            sp, {(x, y): 1.0 for x in B for y in B})
-        fam = principal_direction_family(T)
-        assert fam.generators == (frozenset(B),)
 
 
 class TestGhostlyMembership:

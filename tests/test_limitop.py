@@ -72,16 +72,6 @@ class TestDirectionSequence:
             DirectionSequence(points).validate(
                 build_grid_space(1, 100, "graph"))
 
-    def test_spreading_certificate(self, line):
-        assert DirectionSequence.from_name("squares", 4000) \
-            .has_spreading_certificate(line)
-        assert not DirectionSequence((10, 11, 12, 13, 14)) \
-            .has_spreading_certificate(line) is False or True
-
-    def test_gaps(self, line):
-        seq = DirectionSequence((1, 4, 9, 16))
-        assert seq.gaps(line) == [3, 5, 7]
-
 
 class TestEmpiricalLimit:
     def test_laurent_reproduces_symbol(self, line, powers):
@@ -221,6 +211,8 @@ class TestTranslateCombinatorics:
     def test_bound_enforced(self):
         with pytest.raises(DirectionError):
             translate_intersection({5, 200}, 1, 100)
+        with pytest.raises(DirectionError, match="escapes the stated bound"):
+            build_disjoint_translates({5, 200}, 1, 100)
 
     def test_sparsity_certificate(self):
         assert sparsity_certificate({k * k for k in range(100)})

@@ -1,16 +1,20 @@
+from fractions import Fraction
+
+import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from roelab import (
     BandOperator,
     Kernel,
     WitnessError,
+    WitnessFunction,
     averaging_witness_grid,
     build_graph_space,
     build_grid_space,
     check_partition_witness,
     check_positive_type,
-    delta_witness,
     kernel_from_witness,
     localization_constant,
     resistance_check,
@@ -27,7 +31,6 @@ from roelab.witness import (
     WINDOW_TIE_RTOL,
     candidate_windows,
     default_margin,
-    l1_difference,
 )
 
 
@@ -36,11 +39,56 @@ def window():
     return build_grid_space(1, 80, "graph")
 
 
+def witness_from_rows(space, rows, radius):
+    """Witness with the vector {point: weight} rows[x] at each x."""
+    domain = sorted(rows)
+    cols = [p for x in domain for p in sorted(rows[x])]
+    vals = [rows[x][p] for x in domain for p in sorted(rows[x])]
+    indptr = np.cumsum([0] + [len(rows[x]) for x in domain])
+    return WitnessFunction(np.asarray(domain), csr_matrix(
+        (vals, cols, indptr), shape=(len(domain), space.n)), radius)
+
+
+def point_masses(space, D):
+    """The zero-quality baseline: xi_x is the unit mass at x."""
+    return witness_from_rows(space, {x: {x: 1.0} for x in D}, 0)
+
+
+def row_l1(w, x, y):
+    """||xi_x - xi_y||_1 from the witness rows of x and y."""
+    i, j = np.searchsorted(w.domain, [x, y])
+    return abs(w.matrix[i] - w.matrix[j]).sum(axis=1).A1[0]
+
+
+def regular_graph_space(n, seed):
+    return build_graph_space(list(nx.random_regular_graph(3, n, seed=seed)
+                                  .edges()))
+
+
+def exact_ball_variation(space, D, S, R):
+    """Max of ||xi_x - xi_y||_1 for the ball averages xi, in rational
+    arithmetic, and the first pair x < y attaining it (None for 0)."""
+    balls = {x: set(space.ball(x, S)) for x in D}
+    worst, pair = Fraction(0), None
+    for x in D:
+        for y in D:
+            if y <= x or space.distance(x, y) > R:
+                continue
+            bx, by = balls[x], balls[y]
+            px, py = Fraction(1, len(bx)), Fraction(1, len(by))
+            var = (len(bx - by) * px + len(by - bx) * py
+                   + len(bx & by) * abs(px - py))
+            if var > worst:
+                worst, pair = var, (x, y)
+    return worst, pair
+
+
 class TestWitnessVariation:
     def test_delta_witness_worst_case(self, window):
-        w = delta_witness(window, range(window.n))
+        w = point_masses(window, range(window.n))
         variation, pair = check_partition_witness(window, w, 1)
         assert variation == 2.0
+        assert pair == (0, 1)
 
     def test_averaging_closed_form(self, window):
         for S in (1, 3, 5, 10):
@@ -61,7 +109,7 @@ class TestWitnessVariation:
             # axis-aligned unit step: boxes overlap in all but one slab
             x = sp.point_id((10, 10))
             y = sp.point_id((10, 11))
-            assert l1_difference(w.vectors[x], w.vectors[y]) == \
+            assert row_l1(w, x, y) == \
                 pytest.approx(2.0 / (2 * S + 1), abs=1e-12)
             # the sup-metric worst pair at distance 1 is the diagonal step
             variation, _ = check_partition_witness(sp, w, 1)
@@ -89,27 +137,77 @@ class TestWitnessVariation:
             D = sorted(rng.choice(sp.n, size=sp.n // 2, replace=False)
                        .tolist())
             w = averaging_witness_grid(sp, D, 1)
-            # the loop that check_partition_witness ran before
-            worst, worst_pair = 0.0, None
-            for x in w.domain:
+            # the loop that check_partition_witness ran before, with the
+            # tie rule: the first pair within WINDOW_TIE_RTOL of the max
+            found = []
+            for x in w.domain.tolist():
                 for y in sp.ball(x, R):
                     if y <= x or y not in set(D):
                         continue
-                    var = l1_difference(w.vectors[x], w.vectors[y])
-                    if var > worst:
-                        worst, worst_pair = var, (x, y)
-            assert check_partition_witness(sp, w, R) == (worst, worst_pair)
+                    found.append((row_l1(w, x, y), (x, y)))
+            worst = max(var for var, _ in found)
+            pair = next(p for var, p in found
+                        if var >= worst * (1.0 - WINDOW_TIE_RTOL))
+            assert check_partition_witness(sp, w, R) == (worst, pair)
+
+    @pytest.mark.parametrize("sp", [
+        build_grid_space(1, 40, "graph"),
+        build_grid_space(2, 6, "sup"),
+        build_grid_space(2, 6, "graph"),
+        build_grid_space(2, 6, "euclidean-rounded"),
+        build_grid_space(3, 3, "graph"),
+        regular_graph_space(20, 3),
+        regular_graph_space(40, 1),
+        build_graph_space([(i, i + 1) for i in range(11)]
+                          + [(12, 13), (13, 14), (14, 12)],
+                          separation_schedule=[1.5, 1.5])])
+    def test_matches_rational_oracle(self, sp):
+        rng = np.random.default_rng(0)
+        for S, R in ((1, 1), (2, 1), (2, 2.5), (3, 2)):
+            for D in (list(sp.points), sorted(rng.choice(
+                    sp.n, size=sp.n // 2, replace=False).tolist())):
+                worst, pair = exact_ball_variation(sp, D, S, R)
+                w = averaging_witness_grid(sp, D, S)
+                got, got_pair = check_partition_witness(sp, w, R)
+                assert got_pair == pair
+                assert got == pytest.approx(float(worst), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("sp, D, S, pair, exact", [
+        (build_grid_space(2, 14, "graph"),
+         sorted(np.random.default_rng(3).choice(196, 98, replace=False)
+                .tolist()), 1, (4, 18), 6 / 5),
+        (regular_graph_space(20, 3), range(20), 2, (2, 3), 4 / 5)],
+        ids=["grid", "regular-graph"])
+    def test_worst_pair_is_the_first_exact_maximum(self, sp, D, S, pair,
+                                                   exact):
+        # several pairs reach the maximum exactly, and float rounding of
+        # their sums must not decide which one is reported
+        variation, got = check_partition_witness(
+            sp, averaging_witness_grid(sp, D, S), 1)
+        assert got == pair
+        assert variation == pytest.approx(exact, rel=1e-14)
 
     def test_validation_rejects_bad_mass(self, window):
-        from roelab import WitnessFunction
-        bad = WitnessFunction((0,), {0: {0: 0.7}}, 1)
-        with pytest.raises(WitnessError):
+        bad = witness_from_rows(window, {0: {0: 0.7}}, 1)
+        with pytest.raises(WitnessError, match="l1 mass"):
+            bad.validate(window)
+
+    def test_validation_rejects_negative_weight(self, window):
+        bad = witness_from_rows(window, {3: {3: 1.5, 4: -0.5}}, 1)
+        with pytest.raises(WitnessError, match="at 3 has negative"):
+            bad.validate(window)
+
+    def test_validation_rejects_escaping_support(self, window):
+        ok = {x: {x: 0.5, x + 1: 0.5} for x in range(10)}
+        witness_from_rows(window, ok, 1).validate(window)
+        bad = witness_from_rows(window, {**ok, 7: {9: 1.0}}, 1)
+        with pytest.raises(WitnessError, match="at 7 escapes"):
             bad.validate(window)
 
 
 class TestKernel:
     def test_delta_gives_identity_kernel(self, window):
-        k = kernel_from_witness(delta_witness(window, range(10)))
+        k = kernel_from_witness(point_masses(window, range(10)))
         np.testing.assert_allclose(k.matrix, np.eye(10), atol=1e-12)
 
     def test_averaging_gives_triangular_kernel(self, window):
@@ -132,16 +230,15 @@ class TestKernel:
 
     def test_gram_kernels_always_positive_type(self, window):
         rng = np.random.default_rng(0)
-        from roelab import WitnessFunction
         for _ in range(5):
-            vectors = {}
+            rows = {}
             D = sorted(rng.choice(80, size=15, replace=False).tolist())
             for x in D:
                 ball = window.ball(x, 3)
                 raw = rng.random(len(ball))
                 raw /= raw.sum()
-                vectors[x] = dict(zip(ball, raw))
-            w = WitnessFunction(tuple(D), vectors, 3).validate(window)
+                rows[x] = dict(zip(ball, raw))
+            w = witness_from_rows(window, rows, 3).validate(window)
             k = kernel_from_witness(w)
             assert check_positive_type(k, [k.points])
 
@@ -386,7 +483,3 @@ class TestResistanceCheck:
         I = BandOperator.identity(window)
         with pytest.raises(WitnessError):
             resistance_check([(I, {0}), (I, {1})], 0.5, [2, 2])
-
-
-def test_l1_difference():
-    assert l1_difference({0: 0.5, 1: 0.5}, {1: 0.5, 2: 0.5}) == 1.0
