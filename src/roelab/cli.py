@@ -354,13 +354,15 @@ def _exp_witness_check(space, T, params, seed):
         raise ConfigError("witness domain is empty after margin exclusion")
     witness = wt.averaging_witness_grid(space, D, S)
     variation, pair = wt.check_partition_witness(space, witness, R)
-    kernel = wt.kernel_from_witness(witness)
-    psd = wt.check_positive_type(kernel, [kernel.points])
+    psd = None  # not computed above PSD_SUBSET_LIMIT points
+    if len(D) <= wt.PSD_SUBSET_LIMIT:
+        kernel = wt.kernel_from_witness(witness)
+        psd = wt.check_positive_type(kernel, [kernel.points])
     body = {"domain_size": len(D), "max_variation": variation,
             "worst_pair": list(pair) if pair else None,
             "kernel_positive_type": psd}
     rows = [{"S": S, "R": R, "max_variation": variation,
-             "positive_type": int(psd)}]
+             "positive_type": "" if psd is None else int(psd)}]
     return body, [("witness", ["S", "R", "max_variation", "positive_type"],
                    rows)]
 

@@ -14,6 +14,9 @@ from scipy.sparse import csr_matrix
 from .ideals import IdealFamily
 from .operator import BandOperator
 from .space import GraphSpace
+from .witness import ball_rows, resistance_check
+
+EXPANDER_TRIES = 20
 
 
 class ExpanderError(ValueError):
@@ -60,15 +63,15 @@ def second_eigenvalue(A, degree):
     return float(np.abs(rest).max()) if rest.size else 0.0
 
 
-def random_regular_expander(n, d, lam_max, seed=0, retries=20):
-    """Random simple d-regular graph, resampled until the dense eigensolver
-    certifies second eigenvalue modulus <= lam_max."""
+def random_regular_expander(n, d, lam_max, seed=0):
+    """Random simple d-regular graph, drawn at most EXPANDER_TRIES times until
+    the dense eigensolver certifies second eigenvalue modulus <= lam_max."""
     if (n * d) % 2 != 0:
         raise ExpanderError(f"n*d = {n}*{d} must be even")
     if d < 3:
         raise ExpanderError("degree must be at least 3")
     best = None
-    for attempt in range(retries):
+    for attempt in range(EXPANDER_TRIES):
         g = nx.random_regular_graph(d, n, seed=seed + attempt)
         if not nx.is_connected(g):
             continue
@@ -81,8 +84,8 @@ def random_regular_expander(n, d, lam_max, seed=0, retries=20):
         if best is None or lam < best.second_eigenvalue:
             best = graph
     raise ExpanderError(
-        f"no graph with gap <= {lam_max} in {retries} tries; best was "
-        f"{best.second_eigenvalue if best else float('nan'):.4f}")
+        f"no graph with gap <= {lam_max} in {EXPANDER_TRIES} tries; best "
+        f"was {best.second_eigenvalue if best else float('nan'):.4f}")
 
 
 def constant_projection(space, blocks):
@@ -183,6 +186,17 @@ class ColumnSpace:
         raise KeyError((i, j))
 
 
+def _side_by_side(graphs, separation_schedule):
+    """(space, offsets): the graphs side by side in one GraphSpace, graph k
+    on the ids from offsets[k] on, at outpost separation_schedule[k]."""
+    offsets = np.cumsum([0] + [g.n for g in graphs]).tolist()
+    edges = [(u + off, v + off) for g, off in zip(graphs, offsets)
+             for u, v in g.edges]
+    space = GraphSpace(edges, n=offsets[-1],
+                       separation_schedule=separation_schedule)
+    return space, offsets[:-1]
+
+
 def build_column_space(block_graphs, j_max, separation_schedule):
     """Blocks Y_{i,j} (copies of graph i for j = 1..j_max) with the graph
     metric inside each block and outpost distances s_{i+j-2} across blocks,
@@ -195,69 +209,50 @@ def build_column_space(block_graphs, j_max, separation_schedule):
             f"separation schedule has {len(sched)} entries, need {need}")
     if any(b <= a for a, b in zip(sched, sched[1:])):
         raise ExpanderError("separation schedule must strictly increase")
-    edges = []
-    comp_sched = []
-    blocks = []
-    offset = 0
-    for i, graph in enumerate(block_graphs, start=1):
-        for j in range(1, j_max + 1):
-            for u, v in graph.edges:
-                edges.append((u + offset, v + offset))
-            blocks.append((i, j, tuple(range(offset, offset + graph.n))))
-            comp_sched.append(sched[i + j - 2])
-            offset += graph.n
-    space = GraphSpace(edges, n=offset, separation_schedule=comp_sched)
-    columns = []
-    for i in range(1, n_cols + 1):
-        pts = frozenset(p for bi, _, blk in blocks if bi == i for p in blk)
-        columns.append(pts)
-    return ColumnSpace(space=space, blocks=tuple(blocks),
-                       columns=tuple(columns))
+    layout = [(i, j, graph) for i, graph in enumerate(block_graphs, start=1)
+              for j in range(1, j_max + 1)]
+    space, offsets = _side_by_side([g for _, _, g in layout],
+                                   [sched[i + j - 2] for i, j, _ in layout])
+    blocks = [(i, j, tuple(range(off, off + g.n)))
+              for (i, j, g), off in zip(layout, offsets)]
+    columns = tuple(frozenset(p for bi, _, pts in blocks if bi == i
+                              for p in pts) for i in range(1, n_cols + 1))
+    return ColumnSpace(space=space, blocks=tuple(blocks), columns=columns)
 
 
-def expander_column_space(family, j_max, separation_schedule,
-                          k_grid=(0, 1, 2, 3, 5, 8)):
+def expander_column_space(family, j_max, separation_schedule):
     """The counterexample pipeline space: expander columns, the block
     projection onto constants, and the ideal family generated by the
     columns.  Returns (ColumnSpace, P, family)."""
     col = build_column_space(family.graphs, j_max, separation_schedule)
-    P = constant_projection(col.space,
-                            [pts for _, _, pts in col.blocks])
-    ideal = IdealFamily(col.space, tuple(col.columns), k_grid=tuple(k_grid))
+    P = constant_projection(col.space, [pts for _, _, pts in col.blocks])
+    ideal = IdealFamily(col.space, tuple(col.columns),
+                        k_grid=(0, 1, 2, 3, 5, 8))
     return col, P, ideal
 
 
 def block_profile(space, pts, r):
-    """max |B(x, r) & pts| over x in pts, with the ambient space's balls."""
-    return max(len(pts.intersection(space.ball(x, r))) for x in pts)
+    """max |B(x, r) & pts| over x in pts, with the ambient space's metric."""
+    pts = sorted(pts)
+    return max(int(row.sum()) for row in ball_rows(space, pts, pts, r))
 
 
-def resistance_blocks(family, kappa_target, S_schedule,
-                      separation_schedule=None, approx_slack=0.05):
+def resistance_blocks(family, kappa_target, S_schedule):
     """Chebyshev-approximated constant projections on growing expanders,
     arranged as disjoint blocks of a common space, sized so that each block
     resists localization at its scheduled window diameter.
 
     Growth condition per block: sqrt(max ball(S_n) / n_n) + approx error
-    must not exceed kappa_target.  Returns (space, [(T_n, B_n)], certified
-    kappa).
+    must not exceed kappa_target, with an approximation error of at most
+    0.05.  The blocks' outposts lie 4 max S + 4 apart.  Returns (space,
+    [(T_n, B_n)], certified kappa).
     """
     graphs = family.graphs
     if len(S_schedule) != len(graphs):
         raise ExpanderError("schedule length does not match family size")
-    if separation_schedule is None:
-        base = 4.0 * max(S_schedule) + 4.0
-        separation_schedule = [base * (k + 1) for k in range(len(graphs))]
-    edges = []
-    offsets = []
-    offset = 0
-    for g in graphs:
-        for u, v in g.edges:
-            edges.append((u + offset, v + offset))
-        offsets.append(offset)
-        offset += g.n
-    space = GraphSpace(edges, n=offset,
-                       separation_schedule=separation_schedule)
+    base = 4.0 * max(S_schedule) + 4.0
+    space, offsets = _side_by_side(graphs, [base * (k + 1)
+                                            for k in range(len(graphs))])
     blocks = []
     for g, off, S in zip(graphs, offsets, S_schedule):
         pts = frozenset(range(off, off + g.n))
@@ -267,12 +262,11 @@ def resistance_blocks(family, kappa_target, S_schedule,
             raise ExpanderError(
                 f"block of size {g.n} cannot resist windows of diameter {S} "
                 f"at kappa {kappa_target}")
-        delta = min(approx_slack, 0.9 * slack)
+        delta = min(0.05, 0.9 * slack)
         m = chebyshev_degree_for(g.second_eigenvalue / g.degree, delta)
         op, bound = chebyshev_band_approx(g, g.second_eigenvalue, m,
                                           space=space, offset=off)
         blocks.append((op, pts))
-    from .witness import resistance_check
     ok, details = resistance_check(blocks, kappa_target, S_schedule)
     if not ok:
         raise ExpanderError("computed blocks fail their own certificate")

@@ -104,14 +104,13 @@ def spatial_ideal(space, A):
     return IdealFamily(space, (frozenset(A),))
 
 
-def finite_sets_family(space, seeds, max_union, k_grid=None):
+def finite_sets_family(space, seeds, max_union):
     """Desk-scale stand-in for the family of finite subsets: singleton (or
     small) generators with a hard union cap so that the whole space is not
     trivially covered."""
     gens = tuple(frozenset(s if isinstance(s, (set, frozenset, list, tuple))
                            else (s,)) for s in seeds)
-    kwargs = {} if k_grid is None else {"k_grid": tuple(k_grid)}
-    return IdealFamily(space, gens, max_union=max_union, **kwargs)
+    return IdealFamily(space, gens, max_union=max_union)
 
 
 def ideal_membership(family, Z, k_cap):
@@ -167,23 +166,21 @@ def ghostly_membership(T, family, eps_grid=DEFAULT_EPS_GRID, k_cap=None):
     return True, None
 
 
-def geometric_distance(T, family, tol=1e-9, k_cap=None):
+def geometric_distance(T, family, k_cap=None):
     """Upper bound on the distance from T to operators supported over a
-    certified set: min over certified Y of ||T - restriction of T to Y x Y||.
-    `tol` is the norm-estimation tolerance."""
+    certified set: min over certified Y of ||T - restriction of T to Y x Y||,
+    each norm exact or to NORM_RTOL."""
     if k_cap is None:
         k_cap = default_k_cap(family.space)
-    best = operator_norm(T, tol) if not T.is_zero() else 0.0
+    best = operator_norm(T)
     for Y, _cert in family.candidate_sets(k_cap):
-        diff = T - T.window_restrict(Y, Y)
-        d = 0.0 if diff.is_zero() else operator_norm(diff, tol)
-        best = min(best, d)
+        best = min(best, operator_norm(T - T.window_restrict(Y, Y)))
         if best == 0.0:
             break
     return best
 
 
-def block_lower_bound(T, family, blocks, tol=1e-9, k_cap=None):
+def block_lower_bound(T, family, blocks, k_cap=None):
     """Lower bound on the distance from T to operators supported over a
     certified set, exhibited on pairwise-disjoint probe blocks: for every
     certified Y pick a block disjoint from Y and measure the corner norm
@@ -198,8 +195,8 @@ def block_lower_bound(T, family, blocks, tol=1e-9, k_cap=None):
 
     def corner(block):
         if block not in corner_norms:
-            op = T.window_restrict(block, block)
-            corner_norms[block] = 0.0 if op.is_zero() else operator_norm(op, tol)
+            corner_norms[block] = operator_norm(
+                T.window_restrict(block, block))
         return corner_norms[block]
 
     bound = None

@@ -47,10 +47,10 @@ class DirectionSequence:
         if len(pts) < 2:
             raise DirectionError("direction sequence needs at least 2 points")
 
-    def validate(self, space, basepoint=0):
+    def validate(self, space):
         if not all(0 <= p < space.n for p in self.points):
             raise DirectionError(f"point ids must lie in 0..{space.n - 1}")
-        dists = [space.distance(basepoint, p) for p in self.points]
+        dists = [space.distance(0, p) for p in self.points]
         if any(b <= a for a, b in zip(dists, dists[1:])):
             raise DirectionError(
                 "distances from the basepoint must strictly increase")
@@ -141,10 +141,11 @@ def vanishing_in_direction(T, seq, window_radius=DEFAULT_WINDOW_RADIUS,
     return bool(np.abs(vals).max() < eps and _oscillation(vals).max() < eps)
 
 
-def cross_validate_ghostly(T, family, seqs, eps_grid=None, k_cap=None,
+def cross_validate_ghostly(T, family, seqs, k_cap=None,
                            window_radius=DEFAULT_WINDOW_RADIUS,
                            tail=DEFAULT_TAIL):
-    """Compare the threshold-support route with the direction route.
+    """Compare the threshold-support route, over DEFAULT_EPS_GRID, with the
+    direction route at its smallest threshold.
 
     Every sequence must escape the family: its tail points may not lie in
     any k_cap-neighbourhood of a generator.  Returns a report with both
@@ -152,8 +153,6 @@ def cross_validate_ghostly(T, family, seqs, eps_grid=None, k_cap=None,
     """
     from .ideals import DEFAULT_EPS_GRID, default_k_cap, ghostly_membership
 
-    if eps_grid is None:
-        eps_grid = DEFAULT_EPS_GRID
     if k_cap is None:
         k_cap = default_k_cap(family.space)
     for si, seq in enumerate(seqs):
@@ -162,12 +161,10 @@ def cross_validate_ghostly(T, family, seqs, eps_grid=None, k_cap=None,
             if tail_pts & hood:
                 raise DirectionError(
                     f"sequence {si} does not escape generator {gi}")
-    ghostly, failing_eps = ghostly_membership(T, family, eps_grid, k_cap)
-    eps = min(eps_grid)
-    per_seq = []
-    for seq in seqs:
-        per_seq.append(vanishing_in_direction(
-            T, seq, window_radius=window_radius, tail=tail, eps=eps))
+    ghostly, failing_eps = ghostly_membership(T, family, k_cap=k_cap)
+    eps = min(DEFAULT_EPS_GRID)
+    per_seq = [vanishing_in_direction(T, seq, window_radius=window_radius,
+                                      tail=tail, eps=eps) for seq in seqs]
     vanishes = all(per_seq)
     return {
         "ghostly": ghostly,

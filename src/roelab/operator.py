@@ -12,6 +12,8 @@ from scipy.sparse import csr_matrix
 
 PRUNE_THRESHOLD = 1e-14
 DENSE_NORM_CUTOFF = 600
+# relative tolerance of every iterative operator norm
+NORM_RTOL = 1e-9
 
 
 class OperatorError(ValueError):
@@ -38,11 +40,11 @@ class BandOperator:
     Entries are stored deduplicated in coordinate form with moduli below
     1e-14 pruned, so supp(T) stays meaningful under float arithmetic.
     Immutable, with read-only entry arrays; all operations return new
-    operators.  `operator_norm` caches its results in `_norms`.
+    operators.  `operator_norm` caches its result in `_norm`.
     """
 
     __slots__ = ("space", "rows", "cols", "vals", "propagation", "_keys",
-                 "_norms")
+                 "_norm")
 
     def __init__(self, space, rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
@@ -77,7 +79,7 @@ class BandOperator:
             if prop.is_integer():
                 prop = int(prop)
         object.__setattr__(self, "propagation", prop)
-        object.__setattr__(self, "_norms", {})
+        object.__setattr__(self, "_norm", None)
 
     def __setattr__(self, *a):
         raise AttributeError("BandOperator is immutable")
@@ -306,34 +308,33 @@ def dense_norm(T):
     return float(np.linalg.norm(dense, 2))
 
 
-def power_iteration_norm(T, tol=1e-9, max_iter=None):
+def power_iteration_norm(T):
     """Power iteration on T*T from a seeded random start vector.
 
     Stops when the projected remaining error of the singular-value estimate
-    (Aitken extrapolation of the delta sequence) drops below relative
-    `tol`; raises with a Rayleigh-quotient bracket otherwise.
+    (Aitken extrapolation of the delta sequence) drops below NORM_RTOL
+    relative; raises with a Rayleigh-quotient bracket after 10 n steps.
     """
     if T.is_zero():
         return 0.0
     mat = T.to_csr()
     madj = mat.conj().T.tocsr()
     n = T.space.n
-    if max_iter is None:
-        max_iter = 10 * n
     # a random start has a nonzero component along the top singular vector
     # almost surely; all-ones, for one, is orthogonal to e_0 - e_1
     v = np.random.default_rng(0).standard_normal(n)
     v /= np.linalg.norm(v)
     sigma = 0.0
     delta_prev = None
-    for _ in range(max_iter):
+    for _ in range(10 * n):
         w = mat @ v
         sigma_new = float(np.linalg.norm(w))
         delta = abs(sigma_new - sigma)
-        if delta <= tol * max(sigma_new, 1e-30):
+        target = NORM_RTOL * max(sigma_new, 1e-30)
+        if delta <= target:
             # linear convergence: bound the tail by delta * r / (1 - r)
             ratio = 0.0 if not delta_prev else min(delta / delta_prev, 0.999)
-            if delta * ratio / (1.0 - ratio) <= tol * max(sigma_new, 1e-30):
+            if delta * ratio / (1.0 - ratio) <= target:
                 return sigma_new
         delta_prev = delta if delta > 0 else delta_prev
         sigma = sigma_new
@@ -345,16 +346,11 @@ def power_iteration_norm(T, tol=1e-9, max_iter=None):
                     float(np.linalg.norm(T.vals)))))
 
 
-def operator_norm(T, tol=1e-9, max_iter=None):
+def operator_norm(T):
     """Spectral norm: exact dense solve for small active blocks, power
-    iteration above the cutoff.  Cached on T per (tol, max_iter)."""
-    if T.is_zero():
-        return 0.0
-    key = (tol, max_iter)
-    if key not in T._norms:
-        if active_points(T).size <= DENSE_NORM_CUTOFF:
-            T._norms[key] = dense_norm(T)
-        else:
-            T._norms[key] = power_iteration_norm(T, tol=tol,
-                                                 max_iter=max_iter)
-    return T._norms[key]
+    iteration (to NORM_RTOL) above the cutoff.  Cached on T."""
+    if T._norm is None:
+        norm = (dense_norm(T) if active_points(T).size <= DENSE_NORM_CUTOFF
+                else power_iteration_norm(T))
+        object.__setattr__(T, "_norm", norm)
+    return T._norm

@@ -15,6 +15,11 @@ from roelab.cli import (
     run,
 )
 from roelab.ideals import DEFAULT_EPS_GRID
+from roelab.witness import (
+    averaging_witness_grid,
+    check_partition_witness,
+    default_margin,
+)
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -470,6 +475,28 @@ class TestExperiments:
         assert report["body"]["max_variation"] == pytest.approx(2.0 / 9,
                                                                 abs=1e-12)
         assert report["body"]["kernel_positive_type"]
+
+    def test_witness_check_above_the_kernel_limit(self, tmp_path):
+        # a 48 x 48 domain: past PSD_SUBSET_LIMIT = 2000 points, so the
+        # kernel verdict is not computed, and the variation still is
+        cfg = {
+            "experiment": "witness-check",
+            "space": {"type": "grid", "dims": 2, "side": 50,
+                      "metric": "sup"},
+            "parameters": {"witness_radius": 1},
+            "output": base_output(tmp_path),
+        }
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        body = json.loads((tmp_path / "report.json").read_text())["body"]
+        space = build_grid_space(2, 50, "sup")
+        D = sorted(set(space.points) - default_margin(space, 1))
+        variation, _ = check_partition_witness(
+            space, averaging_witness_grid(space, D, 1), 1)
+        assert body["domain_size"] == 2304
+        assert body["max_variation"] == variation
+        assert body["kernel_positive_type"] is None
+        with open(tmp_path / "table_witness.csv") as fh:
+            assert list(csv.DictReader(fh))[0]["positive_type"] == ""
 
     def test_audit_failure_exits_1(self, tmp_path):
         cfg = {

@@ -17,6 +17,7 @@ from roelab import (
     second_eigenvalue,
     vanishing_in_direction,
 )
+import roelab.witness as witness
 from roelab.expander import _cheb_at, block_profile, chebyshev_degree_for
 from roelab.operator import dense_norm, operator_norm
 from roelab.space import GraphSpace, build_graph_space
@@ -45,7 +46,7 @@ class TestRandomRegular:
 
     def test_retries_exhausted_reports_best(self):
         with pytest.raises(ExpanderError, match="best was"):
-            random_regular_expander(20, 3, 0.5, seed=0, retries=3)
+            random_regular_expander(20, 3, 0.5, seed=0)
 
     def test_family_requires_growth(self):
         g = random_regular_expander(10, 3, 2.99, seed=0)
@@ -274,20 +275,25 @@ class TestResistanceBlocks:
         assert len(blocks) == 1 and kappa <= 0.6
 
     @pytest.mark.parametrize("separation", [None, [0.8, 0.9]])
-    def test_block_ball_sizes_match_own_space(self, separation):
+    def test_block_ball_sizes_match_own_space(self, monkeypatch,
+                                              separation):
         # outposts 0.8 and 0.9 keep the blocks 1.7 apart: beyond the
         # largest window radius S / 2 = 1.5, but within radius 2, where
         # every ambient ball also holds the other block, which the profile
-        # must leave out
+        # must leave out; stacks of 1000 pairs hold 8 or 16 rows
         fam = small_family((60, 120), seed=5, lam_max=2.9)
-        space, blocks, _ = resistance_blocks(
-            fam, 0.5, [2, 3], separation_schedule=separation)
+        space, blocks, _ = resistance_blocks(fam, 0.5, [2, 3])
+        monkeypatch.setattr(witness, "WINDOW_BATCH_ELEMENTS", 1000)
+        if separation is not None:
+            g, h = fam.graphs
+            space = GraphSpace(list(g.edges) + [(u + g.n, v + g.n)
+                                                for u, v in h.edges],
+                               n=g.n + h.n, separation_schedule=separation)
+            assert len(space.ball(0, 2)) > 120
         for g, (_, pts) in zip(fam.graphs, blocks):
             for r in (1, 2):
                 own = GraphSpace(g.edges, n=g.n).geometry_profile(r)
                 assert block_profile(space, pts, r) == own
-        if separation is not None:
-            assert len(space.ball(0, 2)) > 120
 
     def test_growth_condition_enforced(self):
         fam = small_family((10, 20), seed=7)

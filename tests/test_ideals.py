@@ -144,7 +144,8 @@ class TestGhostlyMembership:
     def test_far_mass_fails_with_witness_threshold(self):
         sp = build_grid_space(1, 40, "graph")
         T = BandOperator.from_entries(sp, {(0, 0): 1.0, (35, 35): 0.3})
-        fam = finite_sets_family(sp, [0], max_union=1, k_grid=(0, 1, 2))
+        fam = IdealFamily(sp, (frozenset({0}),), max_union=1,
+                          k_grid=(0, 1, 2))
         ok, failing = ghostly_membership(T, fam, k_cap=2)
         assert not ok
         assert failing == 0.25  # largest grid threshold at or below 0.3
@@ -343,7 +344,8 @@ class TestCandidateEnumerator:
 
         monkeypatch.setattr(il, "neighbourhood", counting)
         line = build_grid_space(1, 2000, "graph")
-        fam = finite_sets_family(line, [0, 5], max_union=2, k_grid=(0, 1))
+        fam = IdealFamily(line, (frozenset({0}), frozenset({5})),
+                          max_union=2, k_grid=(0, 1))
         T = BandOperator.identity(line)
         seq = DirectionSequence(tuple(2 ** k for k in range(4, 11)))
         for _ in range(2):

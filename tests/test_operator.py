@@ -200,7 +200,7 @@ class TestNorm:
         sp = build_grid_space(1, 300, "graph")
         for seed in range(3):
             T = random_band_operator(sp, 3, 0.4, seed=seed)
-            assert power_iteration_norm(T, tol=1e-10) == \
+            assert power_iteration_norm(T) == \
                 pytest.approx(dense_norm(T), rel=1e-8)
 
     def test_power_iteration_start_not_orthogonal_to_top_vector(self):

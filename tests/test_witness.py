@@ -447,6 +447,23 @@ class TestWindowEngine:
                     for c, window in windows:
                         assert window == tuple(sp.ball(c, S / 2))
 
+    @pytest.mark.parametrize("batch", [witness.WINDOW_BATCH_ELEMENTS, 7])
+    def test_graph_windows_are_balls(self, monkeypatch, batch):
+        # outposts 0.75 put the two paths 1.5 apart: at odd S the radius
+        # S / 2 reaches across, and floor(S / 2) does not; a batch of 7
+        # entries takes one centre per stack
+        monkeypatch.setattr(witness, "WINDOW_BATCH_ELEMENTS", batch)
+        sp = build_graph_space([(0, 1), (1, 2), (3, 4)],
+                               separation_schedule=[0.75, 0.75])
+        assert sp.ball(2, 3 / 2) != sp.ball(2, 3 // 2)
+        for S in range(6):
+            for margin in (frozenset(), frozenset({1, 3})):
+                windows = candidate_windows(sp, S, margin)
+                assert [c for c, _ in windows] == \
+                    [c for c in sp.points if c not in margin]
+                for c, window in windows:
+                    assert window == tuple(sp.ball(c, S / 2))
+
     def test_default_margin_matches_coordinates(self):
         sp = build_grid_space(2, 9, "graph")
         for S in (0, 1, 3, 5):
