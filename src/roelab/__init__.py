@@ -21,7 +21,9 @@ from .operator import (
     NormConvergenceError,
     OperatorError,
     dense_norm,
+    norm_bracket,
     operator_norm,
+    operator_norm_bracket,
     power_iteration_norm,
     schur_norm_bound,
 )

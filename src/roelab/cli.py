@@ -23,7 +23,7 @@ from . import ideals as il
 from . import limitop as lo
 from . import witness as wt
 from .operator import (BandOperator, NormConvergenceError, OperatorError,
-                       operator_norm)
+                       operator_norm, operator_norm_bracket)
 from .space import SpaceError, space_from_descriptor
 
 SCHEMA_VERSION = 1
@@ -517,10 +517,22 @@ def _check_assertions(body, assertions):
     return failures
 
 
+def _norm_record(T):
+    """How the operator's norm was reached, for the header: the method, the
+    bracket and the number of certificate factorizations.  A bracket that
+    did not close is recorded, not raised, when the body never needed it."""
+    try:
+        lower, upper, method, steps = operator_norm_bracket(T)
+    except NormConvergenceError as exc:
+        (lower, upper), method, steps = exc.bracket, "unclosed", None
+    return {"method": method, "lower": lower, "upper": upper, "steps": steps}
+
+
 def run(config):
     """Run one experiment; returns (exit status, report dict).  The space,
     the operator and the parameters are resolved here, once; the body
-    echoes every parameter value used under `parameters`."""
+    echoes every parameter value used under `parameters`, and the header
+    records how the operator's norm was reached under `norm`."""
     kind = config["experiment"]
     experiment, _, _, table = _EXPERIMENTS[kind]
     seed = config.get("seed", 0)
@@ -539,11 +551,13 @@ def run(config):
                           if key not in _POINT_LISTS}
     failures = _check_assertions(body, given.get("assert", {})) \
         if config.get("audit") else []
+    header = {"experiment": kind, "config": config,
+              "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+    if T is not None:
+        header["norm"] = _norm_record(T)
     report = {
         "schema": SCHEMA_VERSION,
-        "header": {"experiment": kind, "config": config,
-                   "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                              time.gmtime())},
+        "header": header,
         "body": body,
         "audit_failures": failures,
     }

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .operator import operator_norm
-from .space import GridSpace
+from .space import GraphSpace, GridSpace
 
 L1_NORMALIZATION_TOL = 1e-12
 PSD_EIGENVALUE_TOL = -1e-9
@@ -179,9 +179,15 @@ def candidate_windows(space, S, margin):
             windows.append((c, tuple(range(lo, hi + 1))))
         return windows
     if not isinstance(space, GridSpace):
-        rows = ball_rows(space, centers, np.arange(space.n), S / 2.0)
-        return [(c, tuple(np.flatnonzero(row).tolist()))
-                for c, row in zip(centers, rows)]
+        windows = []
+        for stack in ball_stacks(space, centers, np.arange(space.n), S / 2.0):
+            rows, cols = np.nonzero(stack)
+            # row i's columns are cols[bounds[i]:bounds[i + 1]]
+            bounds = np.searchsorted(rows, np.arange(len(stack) + 1)).tolist()
+            cols = cols.tolist()
+            windows += [(c, tuple(cols[a:b])) for c, a, b in
+                        zip(centers[len(windows):], bounds, bounds[1:])]
+        return windows
     windows = []
     step = max(1, WINDOW_BATCH_ELEMENTS // max(len(space._offsets(S // 2)), 1))
     for lo in range(0, len(centers), step):
@@ -192,14 +198,21 @@ def candidate_windows(space, S, margin):
     return windows
 
 
-def ball_rows(space, centers, points, r):
-    """Per centre, the boolean row d(centre, points) <= r, from broadcast
-    pair distances in stacks of at most WINDOW_BATCH_ELEMENTS pairs."""
+def ball_stacks(space, centers, points, r):
+    """The boolean matrix d(centre, points) <= r, one row per centre, in
+    stacks of at most WINDOW_BATCH_ELEMENTS pairs: row slices of a graph
+    space's distance matrix, broadcast pair distances on grids."""
     points = np.asarray(points, dtype=np.int64)
     step = max(1, WINDOW_BATCH_ELEMENTS // max(points.size, 1))
     for lo in range(0, len(centers), step):
-        yield from space.pair_distances(
-            np.asarray(centers[lo:lo + step])[:, None], points) <= r
+        chunk = np.asarray(centers[lo:lo + step], dtype=np.int64)
+        if isinstance(space, GraphSpace):
+            # a row slice, then one column gather: a 2-d fancy index into
+            # the matrix costs about twice as much
+            dist = space._dist[chunk][:, points]
+        else:
+            dist = space.pair_distances(chunk[:, None], points)
+        yield dist <= r
 
 
 def _block_gatherer(T, mode):

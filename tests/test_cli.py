@@ -282,6 +282,43 @@ class TestLocalizationSweep:
             json.dumps(second, sort_keys=True)
 
 
+    def test_runs_on_the_601_point_normalized_path(self, tmp_path):
+        # its norm took the power-iteration path, which raised on the
+        # path's clustered top and made the run exit 2
+        cfg = {
+            "experiment": "localization-sweep",
+            "space": {"type": "grid", "dims": 1, "side": 601,
+                      "metric": "graph"},
+            "operator": {"kind": "adjacency", "normalize": True},
+            "parameters": {"S_range": [2, 3]},
+            "output": base_output(tmp_path),
+        }
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        for row in report["body"]["rows"]:
+            assert row["operator_norm"] == pytest.approx(np.cos(np.pi / 602),
+                                                         abs=1e-9)
+
+    @pytest.mark.parametrize("side, method", [(60, "dense"),
+                                              (601, "bisection")])
+    def test_header_records_the_norm_bracket(self, tmp_path, side, method):
+        cfg = {
+            "experiment": "localization-sweep",
+            "space": {"type": "grid", "dims": 1, "side": side,
+                      "metric": "graph"},
+            "operator": {"kind": "adjacency", "normalize": True},
+            "parameters": {"S_range": [2, 2]},
+            "output": base_output(tmp_path),
+        }
+        run(cfg)
+        report = json.loads((tmp_path / "report.json").read_text())
+        norm = report["header"]["norm"]
+        assert set(norm) == {"method", "lower", "upper", "steps"}
+        assert norm["method"] == method
+        assert norm["lower"] <= report["body"]["rows"][0]["operator_norm"] \
+            <= norm["upper"]
+        assert "norm" not in report["body"]
+
     def test_default_range_stops_where_centres_run_out(self, tmp_path):
         cfg = {
             "experiment": "localization-sweep",

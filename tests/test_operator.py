@@ -1,14 +1,19 @@
+import time
+
 import numpy as np
 import pytest
 
 import roelab.operator as opr
 from roelab import (
     BandOperator,
+    NormConvergenceError,
     OperatorError,
     build_graph_space,
     build_grid_space,
     dense_norm,
+    norm_bracket,
     operator_norm,
+    operator_norm_bracket,
     power_iteration_norm,
     schur_norm_bound,
 )
@@ -213,6 +218,41 @@ class TestNorm:
         assert np.union1d(T.rows, T.cols).size > opr.DENSE_NORM_CUTOFF
         assert operator_norm(T) == pytest.approx(3.0, abs=1e-9)
 
+    def test_normalized_path_with_a_clustered_top(self):
+        # the top singular value is double, and the next lies 8e-5 below:
+        # power iteration raised NormConvergenceError here
+        A = BandOperator.adjacency(build_grid_space(1, 601, "graph"),
+                                   normalize=True)
+        assert operator_norm(A) == pytest.approx(np.cos(np.pi / 602),
+                                                 abs=1e-9)
+
+    def test_random_operator_with_close_top_singular_values(self):
+        # s2 / s1 = 0.99981: power iteration raised with bracket 6.89..14.0
+        grid = build_grid_space(2, 26, "graph")
+        T = random_band_operator(grid, 3, 0.152692502235424, 1951822153)
+        sigma = np.linalg.norm(T.to_dense(), 2)
+        assert operator_norm(T) == pytest.approx(sigma, rel=1e-12)
+        lo, hi, _, _ = operator_norm_bracket(T)
+        assert lo <= sigma * (1 + 1e-12) and sigma <= hi
+
+    def test_5000_point_path_in_under_a_second(self):
+        A = BandOperator.adjacency(build_grid_space(1, 5000, "graph"),
+                                   normalize=True)
+        start = time.perf_counter()
+        norm = operator_norm(A)
+        assert time.perf_counter() - start < 1.0
+        assert norm == pytest.approx(np.cos(np.pi / 5001), abs=1e-9)
+
+    def test_over_the_memory_cap_raises_with_a_sound_bracket(self,
+                                                              monkeypatch):
+        A = BandOperator.adjacency(build_grid_space(1, 601, "graph"),
+                                   normalize=True)
+        monkeypatch.setattr(opr, "CERTIFICATE_MAX_ENTRIES", 600)
+        with pytest.raises(NormConvergenceError) as info:
+            norm_bracket(A)
+        lo, hi = info.value.bracket
+        assert lo <= np.cos(np.pi / 602) <= hi
+
     def test_sup_entry_below_norm(self, window100):
         for seed in range(5):
             T = random_band_operator(window100, 2, 0.5, seed=seed)
@@ -249,6 +289,17 @@ class TestNormPaths:
         for name, T in self.structures(base).items():
             assert dense_norm(T) == pytest.approx(
                 np.linalg.norm(T.to_dense(), 2), rel=1e-12), name
+
+    def test_bracket_beside_the_cached_value(self, base):
+        # dense below the cutoff, certified above it
+        assert operator_norm_bracket(base) == (operator_norm(base),) * 2 + (
+            "dense", 0)
+        big = random_band_operator(build_grid_space(1, 400, "graph"), 2, 0.5,
+                                   seed=11)
+        lo, hi, method, steps = operator_norm_bracket(big)
+        assert operator_norm(big) == lo
+        assert method == "lanczos" and steps == 1
+        assert hi - lo <= opr.NORM_RTOL * hi
 
     def test_second_call_returns_cached_value(self, base, monkeypatch):
         first = operator_norm(base)
