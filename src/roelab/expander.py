@@ -14,7 +14,7 @@ from scipy.sparse import csr_matrix
 from .ideals import IdealFamily
 from .operator import BandOperator
 from .space import GraphSpace
-from .witness import ball_stacks, resistance_check
+from .witness import resistance_check
 
 EXPANDER_TRIES = 20
 
@@ -234,8 +234,11 @@ def expander_column_space(family, j_max, separation_schedule):
 def block_profile(space, pts, r):
     """max |B(x, r) & pts| over x in pts, with the ambient space's metric."""
     pts = sorted(pts)
-    return max(int(stack.sum(1).max())
-               for stack in ball_stacks(space, pts, pts, r))
+    inside = np.zeros(space.n, dtype=bool)
+    inside[pts] = True
+    sizes, ids = space.balls(pts, r)
+    owner = np.repeat(np.arange(len(pts)), sizes)
+    return int(np.bincount(owner[inside[ids]], minlength=len(pts)).max())
 
 
 def resistance_blocks(family, kappa_target, S_schedule):

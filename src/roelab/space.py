@@ -19,6 +19,9 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 GRID_SIZE_LIMIT = 10 ** 6
 METRIC_KINDS = ("euclidean-rounded", "sup", "graph")
+# entries per stack of a ball query (and of the window blocks built from
+# it); bounds working memory independently of the number of centres
+WINDOW_BATCH_ELEMENTS = 2 ** 15
 
 
 class SpaceError(ValueError):
@@ -60,10 +63,25 @@ class CoarseSpace:
         """Sorted list of points within distance r of x."""
         raise NotImplementedError
 
+    def balls(self, centers, r):
+        """(sizes, ids): |B(c, r)| for each centre c, in the given order, and
+        the sorted ids of those balls concatenated.
+
+        Each kind of space answers one stack of centres with `_ball_stack`,
+        and `_ball_width(r)` is the number of entries one centre takes in
+        it; a stack holds at most WINDOW_BATCH_ELEMENTS entries."""
+        centers = np.asarray(centers, dtype=np.int64)
+        step = max(1, WINDOW_BATCH_ELEMENTS // self._ball_width(r))
+        # no centres still make one (empty) stack, which types the result
+        stacks = [self._ball_stack(centers[lo:lo + step], r)
+                  for lo in range(0, max(len(centers), 1), step)]
+        return tuple(np.concatenate(part) for part in zip(*stacks))
+
     def pairs_within(self, r):
         """(rows, cols): every pair (x, y) with d(x, y) <= r, in
         lexicographic order, the order of the concatenated balls."""
-        raise NotImplementedError
+        sizes, ids = self.balls(np.arange(self.n), r)
+        return np.repeat(np.arange(self.n), sizes), ids
 
     def diameter(self):
         raise NotImplementedError
@@ -140,23 +158,27 @@ class GridSpace(CoarseSpace):
             self._offset_cache[r] = offs[self._metric(offs) <= r]
         return self._offset_cache[r]
 
-    def _stencil(self, centers, r):
-        """Sorted ids of B(c, r) for each centre c, one row per centre padded
-        with n (which sorts after every point), and each row's size."""
+    def ball(self, x, r):
+        return self._ball_stack([x], r)[1].tolist()
+
+    def _ball_width(self, r):
+        return max(len(self._offsets(math.floor(r))), 1)
+
+    def _ball_stack(self, centers, r):
+        """The offset stencil at each centre: one row of ids per centre,
+        padded with n (which sorts after every point) and sorted."""
         pts = (self._coords[centers][:, None, :]
                + self._offsets(math.floor(r))[None, :, :])
         inside = ((pts >= 0) & (pts < self.side)).all(axis=2)
         ids = np.where(inside, pts @ self._place, self.n)
         ids.sort(axis=1)
-        return ids, inside.sum(axis=1)
+        return inside.sum(axis=1), ids[ids < self.n]
 
-    def ball(self, x, r):
-        ids, size = self._stencil([x], r)
-        return ids[0, :size[0]].tolist()
-
-    def pairs_within(self, r):
-        ids, sizes = self._stencil(np.arange(self.n), r)
-        return np.repeat(np.arange(self.n), sizes), ids[ids < self.n]
+    def near_edge(self, S):
+        """Sorted ids of the points near an edge of the box: those with a
+        coordinate v < S or v >= side - S."""
+        c = self._coords
+        return np.flatnonzero(((c < S) | (c >= self.side - S)).any(axis=1))
 
     def geometry_profile(self, r):
         r = int(math.floor(r))
@@ -165,7 +187,7 @@ class GridSpace(CoarseSpace):
         if r not in self._profile_cache:
             # ball sizes in a box are maximised at the most central point
             center = self.point_id([self.side // 2] * self.dims)
-            self._profile_cache[r] = int(self._stencil([center], r)[1][0])
+            self._profile_cache[r] = int(self._ball_stack([center], r)[0][0])
         return self._profile_cache[r]
 
     def diameter(self):
@@ -224,8 +246,12 @@ class GraphSpace(CoarseSpace):
     def ball(self, x, r):
         return np.flatnonzero(self._dist[x] <= r).tolist()
 
-    def pairs_within(self, r):
-        return np.nonzero(self._dist <= r)
+    def _ball_width(self, r):
+        return max(self.n, 1)
+
+    def _ball_stack(self, centers, r):
+        rows, ids = np.nonzero(self._dist[centers] <= r)
+        return np.bincount(rows, minlength=len(centers)), ids
 
     def pair_distances(self, rows, cols):
         return self._dist[np.asarray(rows, dtype=np.int64),
@@ -272,10 +298,7 @@ def neighbourhood(space, A, R):
         return set()
     if R < 0:
         raise SpaceError("negative radius")
-    out = set()
-    for a in A:
-        out.update(space.ball(a, R))
-    return out
+    return set(space.balls(list(A), R)[1].tolist())
 
 
 def entourage(space, R):

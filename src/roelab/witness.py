@@ -9,7 +9,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .operator import operator_norm
-from .space import GraphSpace, GridSpace
+from .space import WINDOW_BATCH_ELEMENTS, GridSpace
 
 L1_NORMALIZATION_TOL = 1e-12
 PSD_EIGENVALUE_TOL = -1e-9
@@ -17,9 +17,6 @@ PSD_SUBSET_LIMIT = 2000
 # windows are gathered densely from an n x n matrix up to this many points,
 # and from the sorted coordinate entries above it
 DENSE_WINDOW_CUTOFF = 2000
-# entries per stack of window blocks (or of grid window stencils); bounds
-# the working memory of a sweep independently of the window count
-WINDOW_BATCH_ELEMENTS = 2 ** 15
 # window norms within this relative distance of the largest one tie, and
 # ties go to the lowest center: windows with equal exact norms (translates,
 # clamped repeats, graph automorphisms) differ by a few ulps, and which of
@@ -86,14 +83,8 @@ def averaging_witness_grid(space, D, S):
     if S < 1:
         raise WitnessError("averaging radius must be at least 1")
     domain = np.unique(np.asarray(D, dtype=np.int64))
-    rows, cols = space.pairs_within(S)
-    in_domain = np.zeros(space.n, dtype=bool)
-    in_domain[domain] = True
-    keep = in_domain[rows]
-    # the pairs come in lexicographic order, so the kept ones are CSR rows
-    sizes = np.bincount(np.searchsorted(domain, rows[keep]),
-                        minlength=len(domain))
-    W = csr_matrix((np.repeat(1.0 / sizes, sizes), cols[keep],
+    sizes, cols = space.balls(domain, S)
+    W = csr_matrix((np.repeat(1.0 / sizes, sizes), cols,
                     np.concatenate(([0], np.cumsum(sizes)))),
                    shape=(len(domain), space.n))
     return WitnessFunction(domain, W, S)
@@ -158,19 +149,18 @@ def default_margin(space, S):
     under-report interior norms near edges."""
     if not isinstance(space, GridSpace):
         return frozenset()
-    near = ((space._coords < S) | (space._coords >= space.side - S)).any(1)
-    return frozenset(np.flatnonzero(near).tolist())
+    return frozenset(space.near_edge(S).tolist())
 
 
 def candidate_windows(space, S, margin):
     """(center, window) candidates of diameter <= S, one per allowed center.
 
-    One-dimensional grids use runs of S + 1 consecutive points (the maximal
-    diameter-S sets there); other spaces use balls of radius S / 2, which
-    on grids come from one offset stencil over the coordinate array."""
-    S = int(S)
+    One-dimensional grids use runs of floor(S) + 1 consecutive points (the
+    maximal diameter-S sets there); other spaces use the balls of radius
+    S / 2 of the space's ball query."""
     centers = [c for c in space.points if c not in margin]
     if isinstance(space, GridSpace) and space.dims == 1:
+        S = int(S)
         n = space.n
         windows = []
         for c in centers:
@@ -178,41 +168,12 @@ def candidate_windows(space, S, margin):
             hi = min(n - 1, lo + S)
             windows.append((c, tuple(range(lo, hi + 1))))
         return windows
-    if not isinstance(space, GridSpace):
-        windows = []
-        for stack in ball_stacks(space, centers, np.arange(space.n), S / 2.0):
-            rows, cols = np.nonzero(stack)
-            # row i's columns are cols[bounds[i]:bounds[i + 1]]
-            bounds = np.searchsorted(rows, np.arange(len(stack) + 1)).tolist()
-            cols = cols.tolist()
-            windows += [(c, tuple(cols[a:b])) for c, a, b in
-                        zip(centers[len(windows):], bounds, bounds[1:])]
-        return windows
-    windows = []
-    step = max(1, WINDOW_BATCH_ELEMENTS // max(len(space._offsets(S // 2)), 1))
-    for lo in range(0, len(centers), step):
-        chunk = centers[lo:lo + step]
-        ids, sizes = space._stencil(chunk, S // 2)
-        for c, row, size in zip(chunk, ids.tolist(), sizes.tolist()):
-            windows.append((c, tuple(row[:size])))
-    return windows
-
-
-def ball_stacks(space, centers, points, r):
-    """The boolean matrix d(centre, points) <= r, one row per centre, in
-    stacks of at most WINDOW_BATCH_ELEMENTS pairs: row slices of a graph
-    space's distance matrix, broadcast pair distances on grids."""
-    points = np.asarray(points, dtype=np.int64)
-    step = max(1, WINDOW_BATCH_ELEMENTS // max(points.size, 1))
-    for lo in range(0, len(centers), step):
-        chunk = np.asarray(centers[lo:lo + step], dtype=np.int64)
-        if isinstance(space, GraphSpace):
-            # a row slice, then one column gather: a 2-d fancy index into
-            # the matrix costs about twice as much
-            dist = space._dist[chunk][:, points]
-        else:
-            dist = space.pair_distances(chunk[:, None], points)
-        yield dist <= r
+    sizes, ids = space.balls(centers, S / 2)
+    # centre i's ball is ids[bounds[i]:bounds[i + 1]]
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    ids = ids.tolist()
+    return [(c, tuple(ids[a:b]))
+            for c, a, b in zip(centers, bounds, bounds[1:])]
 
 
 def _block_gatherer(T, mode):

@@ -17,7 +17,6 @@ from roelab import (
     second_eigenvalue,
     vanishing_in_direction,
 )
-import roelab.witness as witness
 from roelab.expander import _cheb_at, block_profile, chebyshev_degree_for
 from roelab.operator import dense_norm, operator_norm
 from roelab.space import GraphSpace, build_graph_space
@@ -280,10 +279,11 @@ class TestResistanceBlocks:
         # outposts 0.8 and 0.9 keep the blocks 1.7 apart: beyond the
         # largest window radius S / 2 = 1.5, but within radius 2, where
         # every ambient ball also holds the other block, which the profile
-        # must leave out; stacks of 1000 pairs hold 8 or 16 rows
+        # must leave out; stacks of 1000 entries hold 5 rows of the
+        # 180-point space
         fam = small_family((60, 120), seed=5, lam_max=2.9)
         space, blocks, _ = resistance_blocks(fam, 0.5, [2, 3])
-        monkeypatch.setattr(witness, "WINDOW_BATCH_ELEMENTS", 1000)
+        monkeypatch.setattr("roelab.space.WINDOW_BATCH_ELEMENTS", 1000)
         if separation is not None:
             g, h = fam.graphs
             space = GraphSpace(list(g.edges) + [(u + g.n, v + g.n)

@@ -250,6 +250,48 @@ class TestDecomposeEntourage:
             assert len(parts) <= 2 * sp.geometry_profile(R) - 1
 
 
+def ball_spaces():
+    """Grids of dims 1-3 under every metric, a 3-regular graph, two paths at
+    outposts 0.55 and at 0.75, and isolated points."""
+    import networkx as nx
+    spaces = [build_grid_space(dims, side, kind)
+              for dims, side in ((1, 9), (2, 6), (3, 4))
+              for kind in METRIC_KINDS]
+    spaces.append(build_graph_space(
+        list(nx.random_regular_graph(3, 20, seed=4).edges())))
+    for outpost in (0.55, 0.75):
+        spaces.append(build_graph_space([(0, 1), (1, 2), (3, 4)],
+                                        separation_schedule=[outpost] * 2))
+    spaces.append(build_graph_space([], n=4,
+                                    separation_schedule=[0.5, 1, 1.5, 2]))
+    return spaces
+
+
+class TestBalls:
+    @pytest.mark.parametrize("batch", [None, 1])
+    def test_matches_ball_loop(self, monkeypatch, batch):
+        # a batch of one entry takes one centre per stack
+        if batch is not None:
+            monkeypatch.setattr("roelab.space.WINDOW_BATCH_ELEMENTS", batch)
+        for sp in ball_spaces():
+            for centers in ([], [sp.n - 1, 0, 2, 1], [2, 2, 0, 2],
+                            list(sp.points)):
+                for r in (0, 0.5, 1, 1.5, 3):
+                    sizes, ids = sp.balls(centers, r)
+                    balls = [sp.ball(c, r) for c in centers]
+                    assert sizes.tolist() == [len(b) for b in balls]
+                    assert ids.tolist() == [y for b in balls for y in b]
+
+    def test_pairs_within_independent_of_stacks(self, monkeypatch):
+        spaces = ball_spaces()
+        default = [sp.pairs_within(r) for sp in spaces for r in (0, 1, 3)]
+        monkeypatch.setattr("roelab.space.WINDOW_BATCH_ELEMENTS", 1)
+        stacked = [sp.pairs_within(r) for sp in spaces for r in (0, 1, 3)]
+        for (a, b), (c, d) in zip(default, stacked):
+            np.testing.assert_array_equal(a, c)
+            np.testing.assert_array_equal(b, d)
+
+
 class TestPairsWithin:
     @pytest.mark.parametrize("kind", METRIC_KINDS)
     @pytest.mark.parametrize("dims, side", [(1, 12), (2, 7), (3, 5)])

@@ -308,6 +308,16 @@ class TestLocalization:
             limit = np.sqrt(sp.geometry_profile(S / 2.0) / 60)
             assert rep.best_constant <= limit + 1e-9
 
+    def test_fractional_S_on_graph_space(self):
+        # paths 0-1-2 and 3-4 at outposts 0.55, so d(2, 3) = 1.1; the ball
+        # B(1, 1.25) = {0..4} has diameter 2 <= 2.5 and holds the block on
+        # {2, 3}, which a radius of int(2.5) / 2 = 1 never does
+        sp = build_graph_space([(0, 1), (1, 2), (3, 4)],
+                               separation_schedule=[0.55, 0.55])
+        T = BandOperator(sp, [2, 2, 3, 3], [2, 3, 2, 3], [1, 1, 1, 1])
+        rep = localization_constant(T, 2.5, margin=frozenset())
+        assert rep.best_constant == pytest.approx(1.0, abs=1e-12)
+
     def test_zero_operator_rejected(self, window):
         Z = BandOperator(window, [], [], [])
         with pytest.raises(WitnessError):
@@ -450,19 +460,21 @@ class TestWindowEngine:
     @pytest.mark.parametrize("batch", [witness.WINDOW_BATCH_ELEMENTS, 7])
     def test_graph_windows_are_balls(self, monkeypatch, batch):
         # outposts 0.75 put the two paths 1.5 apart: at odd S the radius
-        # S / 2 reaches across, and floor(S / 2) does not; a batch of 7
-        # entries takes one centre per stack
-        monkeypatch.setattr(witness, "WINDOW_BATCH_ELEMENTS", batch)
-        sp = build_graph_space([(0, 1), (1, 2), (3, 4)],
-                               separation_schedule=[0.75, 0.75])
-        assert sp.ball(2, 3 / 2) != sp.ball(2, 3 // 2)
-        for S in range(6):
-            for margin in (frozenset(), frozenset({1, 3})):
-                windows = candidate_windows(sp, S, margin)
-                assert [c for c, _ in windows] == \
-                    [c for c in sp.points if c not in margin]
-                for c, window in windows:
-                    assert window == tuple(sp.ball(c, S / 2))
+        # S / 2 reaches across, and floor(S / 2) does not; outposts 0.55
+        # put them 1.1 apart, which S = 2.5 reaches and int(S) / 2 does not;
+        # a batch of 7 entries takes one centre per stack
+        monkeypatch.setattr("roelab.space.WINDOW_BATCH_ELEMENTS", batch)
+        for outpost, S_cut in ((0.75, 3), (0.55, 2.5)):
+            sp = build_graph_space([(0, 1), (1, 2), (3, 4)],
+                                   separation_schedule=[outpost, outpost])
+            assert sp.ball(2, S_cut / 2) != sp.ball(2, int(S_cut) // 2)
+            for S in (0, 1, 2, 2.5, 3, 4, 5):
+                for margin in (frozenset(), frozenset({1, 3})):
+                    windows = candidate_windows(sp, S, margin)
+                    assert [c for c, _ in windows] == \
+                        [c for c in sp.points if c not in margin]
+                    for c, window in windows:
+                        assert window == tuple(sp.ball(c, S / 2))
 
     def test_default_margin_matches_coordinates(self):
         sp = build_grid_space(2, 9, "graph")
